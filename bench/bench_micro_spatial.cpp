@@ -1,8 +1,8 @@
 /// Micro-benchmarks of the spatial substrates: MurMur3 hashing, the
 /// lock-free grid hash set (the paper's core data structure) under varying
-/// load factors and thread counts, the candidate set, and the k-d tree
-/// baseline from the related work ([29]) that motivates choosing the grid:
-/// the tree must be rebuilt every sample step.
+/// load factors and thread counts, and the k-d tree baseline from the
+/// related work ([29]) that motivates choosing the grid: the tree must be
+/// rebuilt every sample step.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 
 #include "parallel/thread_pool.hpp"
 #include "spatial/cell.hpp"
-#include "spatial/conjunction_set.hpp"
 #include "spatial/grid_hash_set.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/murmur3.hpp"
@@ -130,25 +129,6 @@ void BM_GridHashSetFind(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridHashSetFind);
-
-void BM_CandidateSetInsert(benchmark::State& state) {
-  const std::size_t n = 1 << 16;
-  CandidateSet set(n);
-  Rng rng(3);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& k : keys) {
-    k = pack_candidate(static_cast<std::uint32_t>(rng.uniform_index(1000)),
-                       static_cast<std::uint32_t>(rng.uniform_index(1000)) + 1000,
-                       static_cast<std::uint32_t>(rng.uniform_index(1 << 20)));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    if (i == 0) set.clear();
-    benchmark::DoNotOptimize(set.insert(keys[i]));
-    i = (i + 1) % (n / 2);
-  }
-}
-BENCHMARK(BM_CandidateSetInsert);
 
 void BM_KdTreeBuild(benchmark::State& state) {
   // The related-work baseline: a tree rebuild per sample step. Compare

@@ -6,7 +6,7 @@
 /// memory wall the paper hits in Fig. 10c. screen_streaming() composes the
 /// paper's sample-parallel rounds with the time-slicing strategy of the
 /// related work [23]: each round's candidates are refined and emitted
-/// immediately, and the round's grids and candidate set are recycled.
+/// immediately, and the round's grids and candidate buffers are recycled.
 
 #include <cstdio>
 #include <vector>
@@ -54,7 +54,7 @@ int main() {
   for (std::size_t day = 0; day < 7; ++day) std::printf(" %zu", per_day[day]);
   std::printf("\ntotal %zu conjunctions over the week\n", total);
   std::printf("pipeline: %zu samples in %zu rounds of %zu parallel grids; "
-              "%.1f MiB of grids + %.1f MiB candidate map resident at a time; "
+              "%.1f MiB of grids + %.1f MiB candidate reservation planned; "
               "%.1f s wall\n",
               report.stats.total_samples, report.stats.rounds,
               report.stats.parallel_samples,

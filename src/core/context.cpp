@@ -48,18 +48,16 @@ ScratchArena::GridCheckout ScratchArena::grids(std::size_t count,
   return checkout;
 }
 
-CandidateSet& ScratchArena::candidates(std::size_t capacity) {
-  if (candidates_.has_value() && candidates_->capacity() == capacity) {
-    candidates_->clear();
-    ++stats_.candidate_reuses;
-  } else {
-    // Mismatch covers both directions: a different sizing plan, and a set
-    // doubled by a previous screen's grow(). Rebuilding at plan size keeps
-    // warm growth counts identical to a cold screen's.
-    candidates_.emplace(capacity);
-    ++stats_.candidate_rebuilds;
+std::vector<std::vector<Candidate>>& ScratchArena::candidate_buffers(
+    std::size_t count) {
+  if (candidate_buffers_.size() > count) {
+    candidate_buffers_.resize(count);
+    ++stats_.vector_shrinks;
   }
-  return *candidates_;
+  stats_.candidate_reuses += candidate_buffers_.size();
+  stats_.candidate_rebuilds += count - candidate_buffers_.size();
+  candidate_buffers_.resize(count);
+  return candidate_buffers_;
 }
 
 template <typename T>
@@ -103,7 +101,9 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>>& ScratchArena::pair_buffer(
 std::size_t ScratchArena::memory_bytes() const {
   std::size_t bytes = 0;
   for (const GridHashSet& g : grids_) bytes += g.memory_bytes();
-  if (candidates_.has_value()) bytes += candidates_->memory_bytes();
+  for (const std::vector<Candidate>& buffer : candidate_buffers_) {
+    bytes += buffer.capacity() * sizeof(Candidate);
+  }
   bytes += vmax_.capacity() * sizeof(double);
   bytes += conjunction_slots_.capacity() * sizeof(Conjunction);
   bytes += valid_flags_.capacity();
@@ -115,7 +115,7 @@ void ScratchArena::release() {
   grids_.clear();
   grids_.shrink_to_fit();
   grid_entries_ = 0;
-  candidates_.reset();
+  std::vector<std::vector<Candidate>>().swap(candidate_buffers_);
   std::vector<double>().swap(vmax_);
   std::vector<Conjunction>().swap(conjunction_slots_);
   std::vector<std::uint8_t>().swap(valid_flags_);

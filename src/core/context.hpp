@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/grid_pipeline.hpp"
 #include "core/report.hpp"
-#include "spatial/conjunction_set.hpp"
 #include "spatial/grid_hash_set.hpp"
 
 namespace scod {
@@ -24,10 +24,8 @@ namespace scod {
 ///  - per-step grids are reused only when the entry capacity matches the
 ///    population exactly (a GridHashSet's slot count is a pure function of
 ///    its entry capacity), otherwise they are rebuilt;
-///  - the candidate set is reused only when its capacity equals the sizing
-///    plan's request — after an in-screen grow() the capacities differ and
-///    the next checkout rebuilds at plan size, exactly reproducing a cold
-///    screen's growth count;
+///  - per-chunk candidate buffers keep the capacity they grew to, so a
+///    warm screen appends without reallocating;
 ///  - plain vectors are resized to the request and shrunk back when their
 ///    held capacity is grossly oversized for it (shrink-on-oversize), so a
 ///    one-off 100k screen does not pin 100k-sized buffers under a 1k
@@ -42,8 +40,8 @@ class ScratchArena {
   struct Stats {
     std::uint64_t grid_reuses = 0;        ///< grids handed out pre-built
     std::uint64_t grid_rebuilds = 0;      ///< grids constructed fresh
-    std::uint64_t candidate_reuses = 0;
-    std::uint64_t candidate_rebuilds = 0;
+    std::uint64_t candidate_reuses = 0;   ///< candidate buffers carried over
+    std::uint64_t candidate_rebuilds = 0; ///< candidate buffers created fresh
     std::uint64_t vector_shrinks = 0;     ///< oversized buffers released
   };
 
@@ -62,10 +60,10 @@ class ScratchArena {
   /// screen's); surplus grids beyond `count` are released.
   GridCheckout grids(std::size_t count, std::size_t entries);
 
-  /// Checks out the candidate set at exactly `capacity` (cleared). A
-  /// cached set whose capacity differs — smaller plan, or doubled by a
-  /// previous screen's grow() — is rebuilt at the requested size.
-  CandidateSet& candidates(std::size_t capacity);
+  /// Checks out `count` per-chunk candidate buffers for the detection
+  /// phase (contents unspecified; the pipeline clears each before a chunk
+  /// fills it). Surplus buffers beyond `count` are released.
+  std::vector<std::vector<Candidate>>& candidate_buffers(std::size_t count);
 
   /// Per-satellite speed-bound table, resized to n (contents unspecified;
   /// the pipeline overwrites every element).
@@ -98,7 +96,7 @@ class ScratchArena {
 
   std::vector<GridHashSet> grids_;
   std::size_t grid_entries_ = 0;  ///< entry capacity the cached grids share
-  std::optional<CandidateSet> candidates_;
+  std::vector<std::vector<Candidate>> candidate_buffers_;
   std::vector<double> vmax_;
   std::vector<Conjunction> conjunction_slots_;
   std::vector<std::uint8_t> valid_flags_;

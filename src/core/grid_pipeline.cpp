@@ -1,7 +1,7 @@
 #include "core/grid_pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -23,6 +23,11 @@ using detail::pool_of;
 
 namespace {
 
+/// Grid slots one detection task scans. Large enough to amortize the task
+/// hand-off, small enough that one step's grid splits across the workers
+/// when a round holds only a few steps.
+constexpr std::size_t kChunkSlots = 4096;
+
 /// Simulates the host->device upload of `bytes` of propagation data with
 /// real (chunked) copies so the transfer accounting reflects actual bytes.
 void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t bytes) {
@@ -37,10 +42,6 @@ void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t b
     offset += n;
   }
 }
-
-}  // namespace
-
-namespace {
 
 GridPipelineResult run_pipeline_impl(const Propagator& propagator,
                                      const ScreeningConfig& caller_config,
@@ -82,10 +83,10 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
           ? dynamic_cast<const TwoBodyPropagator*>(&propagator)
           : nullptr;
 
-  // Sizing (Section V-B): candidate capacity from the Extra-P model, then
-  // the sample parallelism p from the remaining budget. The automatic
-  // s_ps reduction kicks in when the conjunction map alone busts the
-  // budget (the paper's Fig. 10c regime).
+  // Sizing (Section V-B): candidate reservation from the Extra-P model,
+  // then the sample parallelism p from the remaining budget. The automatic
+  // s_ps reduction kicks in when the reservation alone busts the budget
+  // (the paper's Fig. 10c regime).
   SizingRequest request;
   request.satellites = n;
   request.span_seconds = config.span_seconds();
@@ -112,18 +113,26 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   const std::size_t p = result.plan.parallel_samples;
   const std::size_t total_steps = result.plan.total_samples;
 
-  // Step 1 (allocation): p per-step grids, the candidate set, and the
-  // per-satellite speed bounds used by the distance prefilter — checked
-  // out of the arena at exactly the sizes a cold screen would allocate.
-  // Carried-over grids still hold the previous screen's entries; reset
-  // them here, on the worker pool, like the between-rounds clears below.
+  // Step 1 (allocation): p per-step grids, the per-chunk candidate
+  // buffers, and the per-satellite speed bounds used by the distance
+  // prefilter — checked out of the arena at exactly the sizes a cold screen
+  // would allocate. Carried-over grids still hold the previous screen's
+  // entries; reset them here, on the worker pool, like the between-rounds
+  // clears below.
   ScratchArena& arena = lease->arena();
   const ScratchArena::GridCheckout grid_checkout = arena.grids(p, n);
   std::vector<GridHashSet>& grids = *grid_checkout.grids;
   pool_of(config).parallel_for(
       grid_checkout.reused, [&](std::size_t g) { grids[g].clear(); },
       /*grain=*/1);
-  CandidateSet& candidates = arena.candidates(request.candidate_capacity);
+
+  // Detection works on fixed-size slot chunks of one step's grid; each
+  // chunk owns one buffer, so emitting a candidate takes no atomics.
+  const std::size_t slots = grids.front().slot_count();
+  const std::size_t chunk_slots = std::min(slots, kChunkSlots);
+  const std::size_t chunks_per_step = (slots + chunk_slots - 1) / chunk_slots;
+  std::vector<std::vector<Candidate>>& buffers =
+      arena.candidate_buffers(p * chunks_per_step);
 
   std::vector<double>& vmax = arena.vmax(n);
   pool_of(config).parallel_for(n, [&](std::size_t i) {
@@ -131,11 +140,13 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   });
 
   for (const GridHashSet& g : grids) result.grid_memory_bytes += g.memory_bytes();
-  result.candidate_memory_bytes = candidates.memory_bytes();
+  result.candidate_memory_bytes =
+      candidate_map_bytes(request.candidate_capacity, request.layout);
 
-  // Device mode: account the fixed data, grids and candidate map against
-  // the simulated device memory and model the upload of the propagation
-  // cache (the paper reports ~3% of GPU time in allocation + transfers).
+  // Device mode: account the fixed data, grids and the planned candidate
+  // reservation against the simulated device memory and model the upload
+  // of the propagation cache (the paper reports ~3% of GPU time in
+  // allocation + transfers).
   std::optional<DeviceBuffer<std::byte>> dev_fixed, dev_grids, dev_cands;
   if (device != nullptr) {
     const std::size_t fixed =
@@ -148,10 +159,9 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
 
   result.allocation_seconds = alloc_watch.seconds();
 
-  const std::size_t slots = grids.front().slot_count();
-  const auto full_stencil = std::span<const CellCoord>(cell_neighborhood());
-  const auto half_stencil = std::span<const CellCoord>(cell_half_neighborhood());
-  const auto offsets = options.half_stencil ? half_stencil : full_stencil;
+  const auto stencil = std::span<const CellCoord>(cell_half_neighborhood());
+  const double prefilter_base = config.threshold_km;
+  const double half_sps = 0.5 * result.sample_period;
 
   for (std::size_t round = 0; round < result.plan.rounds; ++round) {
     const std::size_t step0 = round * p;
@@ -221,35 +231,31 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
     obs::count(obs::Counter::kSamplesPropagated, steps * n);
     obs::add_seconds(obs::Counter::kTimeInsertionNs, ins_seconds);
 
-    // Step 2b (CD): one logical thread per (sample, slot). Retried with a
-    // grown candidate set if the Extra-P sizing underestimated.
+    // Step 2b (CD): one logical thread per slot chunk. Each occupied cell
+    // pairs its own list with itself and with its 13 forward neighbours;
+    // the mirrored half is covered from the neighbour's side, so every
+    // (pair, step) reaches exactly one buffer exactly once. The paper scans
+    // all 26 neighbours and removes the second copy in a lock-free hash
+    // map; both find the same candidate set.
     Stopwatch cd_watch;
-    const std::size_t candidates_before = candidates.size();
-    for (;;) {
-      std::atomic<bool> overflow{false};
-      // Funnel tallies for this attempt. Declared inside the retry loop so
-      // an overflowed attempt is discarded wholesale: only the successful
-      // scan is committed to telemetry below, which keeps the conservation
-      // invariant (tested == masked + prefiltered + emitted + deduped)
-      // exact even when the candidate set has to grow mid-round.
-      std::atomic<std::uint64_t> cd_occupied{0}, cd_tested{0}, cd_masked{0},
-          cd_prefiltered{0}, cd_emitted{0}, cd_duplicates{0};
-      execute(config, steps * slots, [&](std::size_t idx) {
-        const std::size_t local = idx / slots;
-        const std::size_t slot = idx % slots;
-        const GridHashSet& grid = grids[local];
-        const std::uint64_t key = grid.slot_key(slot);
-        if (key == kEmptySlotKey) return;
+    execute(config, steps * chunks_per_step, [&](std::size_t chunk) {
+      const std::size_t local = chunk / chunks_per_step;
+      const std::size_t first = (chunk % chunks_per_step) * chunk_slots;
+      const std::size_t last = std::min(first + chunk_slots, slots);
+      const GridHashSet& grid = grids[local];
+      const std::uint32_t step = static_cast<std::uint32_t>(step0 + local);
+      std::vector<Candidate>& out = buffers[chunk];
+      out.clear();
+      std::uint64_t occupied = 0, tested = 0, masked = 0, prefiltered = 0;
 
-        const std::uint32_t step = static_cast<std::uint32_t>(step0 + local);
-        const double prefilter_base = config.threshold_km;
-        const double half_sps = 0.5 * result.sample_period;
+      for (std::size_t slot = first; slot < last; ++slot) {
+        const std::uint64_t key = grid.slot_key(slot);
+        if (key == kEmptySlotKey) continue;
+        ++occupied;
         const CellCoord coord = indexer.unpack(key);
         const std::uint32_t head = grid.slot_head(slot);
-        std::uint64_t tested = 0, masked = 0, prefiltered = 0, emitted = 0,
-                      duplicates = 0;
 
-        for (const CellCoord& off : offsets) {
+        for (const CellCoord& off : stencil) {
           const bool self = (off.x == 0 && off.y == 0 && off.z == 0);
           std::uint32_t other_head;
           if (self) {
@@ -265,7 +271,6 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
             for (std::uint32_t eb = self ? a.next : other_head; eb != kNoEntry;
                  eb = grid.entry(eb).next) {
               const GridEntry& b = grid.entry(eb);
-              if (a.satellite == b.satellite) continue;
               ++tested;
               // Incremental hook: a pair with no dirty member carries its
               // baseline conjunctions forward, so it never becomes a
@@ -285,79 +290,54 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
                   continue;
                 }
               }
-              switch (candidates.insert(a.satellite, b.satellite, step)) {
-                case CandidateSet::Insert::kInserted:
-                  ++emitted;
-                  break;
-                case CandidateSet::Insert::kDuplicate:
-                  ++duplicates;
-                  break;
-                case CandidateSet::Insert::kFull:
-                  overflow.store(true, std::memory_order_relaxed);
-                  break;
-              }
+              out.push_back({std::min(a.satellite, b.satellite),
+                             std::max(a.satellite, b.satellite), step});
             }
           }
         }
-        if (obs::enabled()) {
-          cd_occupied.fetch_add(1, std::memory_order_relaxed);
-          cd_tested.fetch_add(tested, std::memory_order_relaxed);
-          cd_masked.fetch_add(masked, std::memory_order_relaxed);
-          cd_prefiltered.fetch_add(prefiltered, std::memory_order_relaxed);
-          cd_emitted.fetch_add(emitted, std::memory_order_relaxed);
-          cd_duplicates.fetch_add(duplicates, std::memory_order_relaxed);
-        }
-      });
-      if (!overflow.load()) {
-        if (obs::enabled()) {
-          obs::count(obs::Counter::kCellsScanned, steps * slots);
-          obs::count(obs::Counter::kCellsOccupied, cd_occupied.load());
-          obs::count(obs::Counter::kPairsTested, cd_tested.load());
-          obs::count(obs::Counter::kPairsMaskedClean, cd_masked.load());
-          obs::count(obs::Counter::kPairsPrefiltered, cd_prefiltered.load());
-          // A pair first inserted during an overflowed attempt survives the
-          // grow (CandidateSet::grow rehashes in place), so the successful
-          // re-scan classifies it as a duplicate. Report distinct inserts
-          // from the set's own size delta and shift the remainder into the
-          // dedup bucket: the per-attempt identity tested == masked +
-          // prefiltered + emitted' + duplicates' is preserved exactly.
-          const std::uint64_t distinct = candidates.size() - candidates_before;
-          const std::uint64_t classified = cd_duplicates.load() + cd_emitted.load();
-          obs::count(obs::Counter::kCandidatesEmitted, distinct);
-          // classified < distinct only if telemetry was flipped on mid-scan;
-          // saturate instead of wrapping in that degenerate case.
-          obs::count(obs::Counter::kCandidatesDeduplicated,
-                     classified > distinct ? classified - distinct : 0);
-        }
-        break;
       }
-      candidates.grow();
-      ++result.candidate_set_growths;
-      obs::count(obs::Counter::kCandidateSetGrowths);
-      if (device != nullptr) {
-        dev_cands.reset();  // release before re-accounting the doubled map
-        dev_cands = device->alloc<std::byte>(candidates.memory_bytes());
+      if (obs::enabled()) {
+        obs::count(obs::Counter::kCellsScanned, last - first);
+        obs::count(obs::Counter::kCellsOccupied, occupied);
+        obs::count(obs::Counter::kPairsTested, tested);
+        obs::count(obs::Counter::kPairsMaskedClean, masked);
+        obs::count(obs::Counter::kPairsPrefiltered, prefiltered);
+        obs::count(obs::Counter::kCandidatesEmitted, out.size());
+      }
+    });
+
+    // Concatenate the round's buffers step by step and sort each step's
+    // block by pair. The grid's slot layout and list order depend on how
+    // the inserts interleaved; the sorted order depends on the input only.
+    std::vector<Candidate> drained;
+    std::vector<Candidate>& dest = sink != nullptr ? drained : result.candidates;
+    const std::size_t base = dest.size();
+    std::vector<std::size_t> offsets(steps + 1, base);
+    for (std::size_t local = 0; local < steps; ++local) {
+      offsets[local + 1] = offsets[local];
+      for (std::size_t c = 0; c < chunks_per_step; ++c) {
+        offsets[local + 1] += buffers[local * chunks_per_step + c].size();
       }
     }
+    dest.resize(offsets[steps]);
+    pool_of(config).parallel_for(steps, [&](std::size_t local) {
+      const auto begin = dest.begin() + static_cast<std::ptrdiff_t>(offsets[local]);
+      auto end = begin;
+      for (std::size_t c = 0; c < chunks_per_step; ++c) {
+        const std::vector<Candidate>& buffer = buffers[local * chunks_per_step + c];
+        end = std::copy(buffer.begin(), buffer.end(), end);
+      }
+      std::sort(begin, end, [](const Candidate& x, const Candidate& y) {
+        return x.sat_a != y.sat_a ? x.sat_a < y.sat_a : x.sat_b < y.sat_b;
+      });
+    }, /*grain=*/1);
+    result.total_candidates += offsets[steps] - base;
+
     const double cd_seconds = cd_watch.seconds();
     result.detection_seconds += cd_seconds;
     obs::add_seconds(obs::Counter::kTimeDetectionNs, cd_seconds);
 
-    // Streaming mode: hand this round's candidates over and recycle the
-    // set. A (pair, step) key can only be produced by the round owning
-    // that step, so per-round draining changes nothing semantically.
-    if (sink != nullptr) {
-      std::vector<Candidate> drained = candidates.drain();
-      result.total_candidates += drained.size();
-      candidates.clear();
-      (*sink)(round, std::move(drained), result);
-    }
-  }
-
-  result.candidate_memory_bytes = candidates.memory_bytes();
-  if (sink == nullptr) {
-    result.candidates = candidates.drain();
-    result.total_candidates = result.candidates.size();
+    if (sink != nullptr) (*sink)(round, std::move(drained), result);
   }
   return result;
 }

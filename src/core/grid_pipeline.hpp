@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -9,11 +10,20 @@
 #include "model/conjunction_model.hpp"
 #include "model/sizing.hpp"
 #include "propagation/propagator.hpp"
-#include "spatial/conjunction_set.hpp"
 
 namespace scod {
 
 class ScreeningContext;
+
+/// A screening candidate: an unordered satellite pair plus the sample step
+/// at which the grid saw them in neighbouring cells.
+struct Candidate {
+  std::uint32_t sat_a = 0;  ///< smaller index
+  std::uint32_t sat_b = 0;  ///< larger index
+  std::uint32_t step = 0;   ///< global sample-step number
+
+  constexpr bool operator==(const Candidate&) const = default;
+};
 
 /// Options of the shared grid front-end (steps 1-2 of Section III: memory
 /// allocation, parallel propagation + insertion, parallel candidate
@@ -21,18 +31,16 @@ class ScreeningContext;
 struct GridPipelineOptions {
   /// Sampling period s_ps [s]; the cell size follows from Eq. (1).
   double seconds_per_sample = 4.0;
-  /// Sizing model for the conjunction hash map (Eq. 3 for grid, Eq. 4 for
-  /// hybrid); the set grows and the affected round retries if it proves
-  /// too small for the actual population.
+  /// Candidate-count model (Eq. 3 for grid, Eq. 4 for hybrid). The memory
+  /// plan reserves room for the predicted candidates when it chooses the
+  /// sample parallelism and the automatic s_ps reduction; detection itself
+  /// is not bounded by it.
   ConjunctionCountModel count_model = ConjunctionCountModel::paper_grid();
   /// Candidate pairs farther apart than threshold + (v_max_a + v_max_b) *
   /// s_ps / 2 at the sample cannot dip below the threshold near it; when
   /// true they are dropped during detection instead of being refined.
   /// Purely an optimization — it never changes the reported conjunctions.
   bool distance_prefilter = true;
-  /// Scan only the 13 forward neighbours instead of all 26 (ablation; the
-  /// paper scans the full neighbourhood and deduplicates).
-  bool half_stencil = false;
   /// Overrides the Eq. (1) cell size [km] when positive. ONLY for the
   /// worst-case ablation (bench_eq1_cellsize): cells smaller than Eq. (1)
   /// void the no-skip guarantee of Fig. 4.
@@ -54,7 +62,7 @@ struct GridPipelineOptions {
   /// (bench_micro_batch).
   bool batch_propagation = true;
   /// Long-lived screening context to borrow step-1 scratch from (grids,
-  /// candidate set, vmax table). Checked-out buffers are reset to exactly
+  /// candidate buffers, vmax table). Checked-out buffers are reset to exactly
   /// the state a fresh allocation would have, so results are bit-identical
   /// either way; warm repeat screens just skip the allocation cost. With
   /// nullptr (the default) the pipeline allocates per call as before.
@@ -63,14 +71,15 @@ struct GridPipelineOptions {
 
 /// Everything the grid front-end produced for the refinement/filter stages.
 struct GridPipelineResult {
-  std::vector<Candidate> candidates;  ///< distinct (pair, step) candidates
-                                      ///< (empty in streaming mode)
+  /// Distinct (pair, step) candidates ordered by (step, sat_a, sat_b);
+  /// empty in streaming mode.
+  std::vector<Candidate> candidates;
   std::size_t total_candidates = 0;   ///< count across all rounds
   double cell_size = 0.0;             ///< g_c [km]
   double sample_period = 0.0;         ///< s_ps actually used (auto-adjusted)
   SizingPlan plan;
-  std::size_t candidate_set_growths = 0;
   std::uint64_t grid_memory_bytes = 0;
+  /// Candidate memory the plan reserved from the Eq. 3/4 prediction.
   std::uint64_t candidate_memory_bytes = 0;
   double allocation_seconds = 0.0;
   double insertion_seconds = 0.0;
@@ -86,8 +95,12 @@ struct GridPipelineResult {
 /// Runs the grid front-end over the whole span: plans the sample
 /// parallelism from the memory budget (device memory when config.device is
 /// set), then for each round propagates all satellites into the per-step
-/// grids and scans every occupied cell plus its neighbourhood for
-/// candidate pairs, deduplicated in the lock-free candidate set.
+/// grids and scans every occupied cell plus its 13 forward neighbours
+/// (cell_half_neighborhood) for candidate pairs. Every pair of
+/// neighbouring cells is visited from exactly one side, so each
+/// (pair, step) is emitted once and needs no deduplication. The output
+/// order is a function of the input alone, independent of the thread
+/// count and scheduling.
 ///
 /// Throws std::runtime_error when even a single grid does not fit into the
 /// memory budget.
@@ -99,15 +112,15 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
 /// index, the candidates detected in that round (moved), and the pipeline
 /// result as populated so far (cell_size, sample_period and plan are final
 /// before the first round). A (pair, step) key can only occur in the round
-/// owning that step, so draining per round yields exactly the same
-/// candidate multiset as accumulating to the end.
+/// owning that step, so the rounds concatenated are exactly the candidate
+/// vector of run_grid_pipeline.
 using GridRoundSink = std::function<void(
     std::size_t round, std::vector<Candidate>&& candidates,
     const GridPipelineResult& pipeline)>;
 
-/// Streaming variant of run_grid_pipeline: the candidate set is drained
-/// into `sink` and cleared after every round, so memory stays bounded by
-/// one round's activity regardless of the span length. The returned
+/// Streaming variant of run_grid_pipeline: each round's candidates are
+/// handed to `sink` as soon as the round is detected, so memory stays
+/// bounded by one round's activity regardless of the span length. The returned
 /// result's `candidates` vector is empty; counters cover the whole run.
 GridPipelineResult run_grid_pipeline_streaming(const Propagator& propagator,
                                                const ScreeningConfig& config,

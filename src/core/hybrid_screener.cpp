@@ -300,7 +300,6 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
   report.stats.filtered_windows = rejected_windows.load();
   report.stats.coplanar_pairs = coplanar_count.load();
   report.stats.refinements = tasks.size();
-  report.stats.candidate_set_growths = pipeline.candidate_set_growths;
   report.stats.grid_memory_bytes = pipeline.grid_memory_bytes;
   report.stats.candidate_memory_bytes = pipeline.candidate_memory_bytes;
   return report;

@@ -46,9 +46,8 @@ struct ScreeningStats {
   std::size_t filtered_windows = 0;  ///< pairs with no overlapping windows
   std::size_t coplanar_pairs = 0;
   std::size_t refinements = 0;       ///< Brent searches executed
-  std::size_t candidate_set_growths = 0;
   std::uint64_t grid_memory_bytes = 0;
-  std::uint64_t candidate_memory_bytes = 0;
+  std::uint64_t candidate_memory_bytes = 0;  ///< planned reservation
 };
 
 /// Result of one screening run.

@@ -14,7 +14,8 @@ std::uint64_t round_up_pow2(std::uint64_t v) {
 }  // namespace
 
 std::uint64_t candidate_map_bytes(std::size_t capacity, const MemoryLayout& layout) {
-  // CandidateSet allocates round_up_pow2(2 * capacity) slots.
+  // Planning reservation, not a live table: the paper's conjunction hash
+  // map with round_up_pow2(2 * capacity) slots.
   return round_up_pow2(2 * static_cast<std::uint64_t>(capacity)) *
          layout.candidate_slot_bytes;
 }

@@ -14,7 +14,7 @@ struct MemoryLayout {
   std::size_t kepler_cache_bytes = 112;  ///< a_k: one TwoBodyCache
   std::size_t grid_slot_bytes = 16;      ///< one grid hash-set slot (key+head)
   std::size_t grid_entry_bytes = 32;     ///< a_l: one linked-list entry
-  std::size_t candidate_slot_bytes = 8;  ///< one conjunction-map slot
+  std::size_t candidate_slot_bytes = 8;  ///< one reserved candidate slot
   double grid_slot_factor = 2.0;         ///< slots per satellite in the grid set
 };
 
@@ -41,12 +41,14 @@ struct SizingPlan {
 
 SizingPlan plan_samples(const SizingRequest& request);
 
-/// Memory the conjunction hash map will occupy for a given capacity
-/// (slot table only; CandidateSet keys are self-contained).
+/// Memory the plan reserves for `capacity` predicted candidates: the
+/// paper's conjunction hash map with its doubled slot table. Detection does
+/// not build that map; the reservation keeps the plan, and with it the
+/// sample parallelism and the automatic s_ps reduction, the paper's.
 std::uint64_t candidate_map_bytes(std::size_t capacity, const MemoryLayout& layout);
 
 /// The automatic seconds-per-sample adjustment of Section V-C: when the
-/// conjunction hash map predicted by the model does not fit into the
+/// candidate reservation predicted by the model does not fit into the
 /// memory budget, reduce s_ps (smaller cells produce fewer candidate
 /// pairs; the paper's runs drop from 9 s to 4 s and 1 s at 512k/1024k
 /// objects). Returns the adjusted request; `changed` reports whether any

@@ -22,7 +22,6 @@ const char* counter_name(Counter c) {
     case Counter::kPairsPrefiltered: return "pairs_prefiltered";
     case Counter::kCandidatesEmitted: return "candidates_emitted";
     case Counter::kCandidatesDeduplicated: return "candidates_deduplicated";
-    case Counter::kCandidateSetGrowths: return "candidate_set_growths";
     case Counter::kFilterPairsIn: return "filter_pairs_in";
     case Counter::kFilterApogeePerigeeRejects: return "filter_ap_rejects";
     case Counter::kFilterPathChecks: return "filter_path_checks";

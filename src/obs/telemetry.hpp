@@ -45,8 +45,10 @@ enum class Counter : std::uint32_t {
   kPairsMaskedClean,
   kPairsPrefiltered,
   kCandidatesEmitted,
+  // Second sightings of an emitted (pair, step). The half-stencil scan
+  // emits each key once, so this stays 0; the funnel conservation law
+  // keeps it as a bucket and the fuzzer asserts that it is empty.
   kCandidatesDeduplicated,
-  kCandidateSetGrowths,
   // Classical filter chain (hybrid / legacy / sieve front end).
   kFilterPairsIn,
   kFilterApogeePerigeeRejects,

@@ -48,22 +48,6 @@ CellCoord CellIndexer::unpack(std::uint64_t key) const {
           axis((key >> (2 * kAxisBits)) & kAxisMask)};
 }
 
-const std::array<CellCoord, 27>& cell_neighborhood() {
-  static const std::array<CellCoord, 27> offsets = [] {
-    std::array<CellCoord, 27> o{};
-    std::size_t i = 0;
-    o[i++] = {0, 0, 0};  // self first, so scans can skip it easily
-    for (std::int32_t dz = -1; dz <= 1; ++dz)
-      for (std::int32_t dy = -1; dy <= 1; ++dy)
-        for (std::int32_t dx = -1; dx <= 1; ++dx) {
-          if (dx == 0 && dy == 0 && dz == 0) continue;
-          o[i++] = {dx, dy, dz};
-        }
-    return o;
-  }();
-  return offsets;
-}
-
 const std::array<CellCoord, 14>& cell_half_neighborhood() {
   static const std::array<CellCoord, 14> offsets = [] {
     std::array<CellCoord, 14> o{};

@@ -62,13 +62,11 @@ class CellIndexer {
   std::int32_t cells_per_axis_;
 };
 
-/// Offsets of the 3^3 - 1 = 26 neighbouring cells plus the cell itself
-/// (first entry); the conjunction detection scans all 27.
-const std::array<CellCoord, 27>& cell_neighborhood();
-
 /// The 13 "forward" offsets (plus self as first entry, 14 total) forming a
-/// half stencil: every unordered pair of neighbouring cells is covered
-/// exactly once. Used by the half-stencil ablation.
+/// half stencil: of every offset o != 0 in {-1, 0, 1}^3 exactly one of
+/// {o, -o} is included, so scanning each occupied cell with it covers
+/// every unordered pair of neighbouring cells exactly once. This is the
+/// conjunction detection's only stencil.
 const std::array<CellCoord, 14>& cell_half_neighborhood();
 
 }  // namespace scod

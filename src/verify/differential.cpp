@@ -93,14 +93,53 @@ void diff_against_oracle(const std::string& name,
   }
 }
 
+/// Records a kCounterViolation for `name` unless `ok`.
+void expect_counter(bool ok, const std::string& name, const char* what,
+                    std::uint64_t lhs, std::uint64_t rhs,
+                    std::vector<Divergence>& out) {
+  if (ok) return;
+  char buf[192];
+  std::snprintf(buf, sizeof(buf), "counter invariant '%s' violated: %llu vs %llu",
+                what, static_cast<unsigned long long>(lhs),
+                static_cast<unsigned long long>(rhs));
+  out.push_back({name, Divergence::Kind::kCounterViolation, Conjunction{}, buf});
+}
+
+/// Detection funnel of the grid pipeline: every tested pair lands in
+/// exactly one bucket (clean-masked, prefiltered, emitted, deduplicated),
+/// and the half-stencil scan emits each (pair, step) once, so nothing is
+/// ever deduplicated.
+void check_detection_funnel(const std::string& name,
+                            const obs::TelemetrySnapshot& snap,
+                            std::vector<Divergence>& out) {
+  using C = obs::Counter;
+  const auto v = [&](C c) { return snap.value(c); };
+  const std::uint64_t classified =
+      v(C::kPairsMaskedClean) + v(C::kPairsPrefiltered) +
+      v(C::kCandidatesEmitted) + v(C::kCandidatesDeduplicated);
+  expect_counter(v(C::kPairsTested) == classified, name,
+                 "pairs_tested conservation", v(C::kPairsTested), classified, out);
+  expect_counter(v(C::kCandidatesDeduplicated) == 0, name,
+                 "candidates_deduplicated == 0", v(C::kCandidatesDeduplicated), 0,
+                 out);
+}
+
 /// Runs the case's randomized delta through the incremental service and
 /// requires the merged report to equal the from-scratch reference (the
 /// service's documented exactness contract, far inside Brent tolerance).
-void diff_service(const FuzzCase& fuzz_case, std::vector<Divergence>& out) {
+/// With `counters`, the detection funnel of the baseline and incremental
+/// screens is checked as well.
+void diff_service(const FuzzCase& fuzz_case, bool counters,
+                  std::vector<Divergence>& out) {
   ServiceOptions service_options;
   service_options.config = fuzz_case.config;
   ScreeningService service(service_options);
 
+  const bool was_enabled = obs::enabled();
+  if (counters) {
+    obs::reset();
+    obs::set_enabled(true);
+  }
   service.upsert(fuzz_case.satellites);
   service.screen();  // warm baseline
 
@@ -109,6 +148,10 @@ void diff_service(const FuzzCase& fuzz_case, std::vector<Divergence>& out) {
   if (!fuzz_case.delta_adds.empty()) service.upsert(fuzz_case.delta_adds);
 
   const ServiceReport incremental = service.screen(ScreenMode::kIncremental);
+  if (counters) {
+    obs::set_enabled(was_enabled);
+    check_detection_funnel("service", obs::snapshot(), out);
+  }
   const std::vector<IdConjunction> reference = service.reference_conjunctions();
 
   const auto mismatch = [&](const char* what, const IdConjunction& c) {
@@ -167,12 +210,7 @@ void check_counter_invariants(const std::string& name, Variant variant,
   const auto v = [&](C c) { return snap.value(c); };
   const auto expect = [&](bool ok, const char* what, std::uint64_t lhs,
                           std::uint64_t rhs) {
-    if (ok) return;
-    char buf[192];
-    std::snprintf(buf, sizeof(buf), "counter invariant '%s' violated: %llu vs %llu",
-                  what, static_cast<unsigned long long>(lhs),
-                  static_cast<unsigned long long>(rhs));
-    out.push_back({name, Divergence::Kind::kCounterViolation, Conjunction{}, buf});
+    expect_counter(ok, name, what, lhs, rhs, out);
   };
 
   // Refinement monotonicity holds for every variant: each raw conjunction
@@ -185,13 +223,7 @@ void check_counter_invariants(const std::string& name, Variant variant,
   expect(v(C::kRefinements) >= raw, "refinements >= raw", v(C::kRefinements), raw);
 
   if (variant == Variant::kGrid || variant == Variant::kHybrid) {
-    // Detection funnel conservation: every tested pair lands in exactly one
-    // bucket (clean-masked, prefiltered, emitted, deduplicated).
-    const std::uint64_t classified =
-        v(C::kPairsMaskedClean) + v(C::kPairsPrefiltered) +
-        v(C::kCandidatesEmitted) + v(C::kCandidatesDeduplicated);
-    expect(v(C::kPairsTested) == classified, "pairs_tested conservation",
-           v(C::kPairsTested), classified);
+    check_detection_funnel(name, snap, out);
     expect(v(C::kCandidatesEmitted) == report.stats.candidates,
            "emitted == stats.candidates", v(C::kCandidatesEmitted),
            report.stats.candidates);
@@ -282,8 +314,6 @@ void diff_context_reuse(const std::string& name, const ScreeningReport& cold,
   stat("candidates", cold.stats.candidates, warm.stats.candidates);
   stat("refinements", cold.stats.refinements, warm.stats.refinements);
   stat("pairs_examined", cold.stats.pairs_examined, warm.stats.pairs_examined);
-  stat("candidate_set_growths", cold.stats.candidate_set_growths,
-       warm.stats.candidate_set_growths);
   stat("total_samples", cold.stats.total_samples, warm.stats.total_samples);
   stat("rounds", cold.stats.rounds, warm.stats.rounds);
   stat("seconds_per_sample", cold.stats.seconds_per_sample,
@@ -389,7 +419,7 @@ CaseResult run_differential(const FuzzCase& fuzz_case,
   }
 
   if (options.check_service) {
-    diff_service(fuzz_case, result.divergences);
+    diff_service(fuzz_case, counters, result.divergences);
   }
   return result;
 }

@@ -55,8 +55,6 @@ void expect_bit_identical(const ScreeningReport& cold, const ScreeningReport& wa
   EXPECT_EQ(warm.stats.candidates, cold.stats.candidates) << label;
   EXPECT_EQ(warm.stats.pairs_examined, cold.stats.pairs_examined) << label;
   EXPECT_EQ(warm.stats.refinements, cold.stats.refinements) << label;
-  EXPECT_EQ(warm.stats.candidate_set_growths, cold.stats.candidate_set_growths)
-      << label;
 }
 
 TEST(Context, WarmRepeatScreensAreBitIdenticalAcrossVariants) {
@@ -201,23 +199,37 @@ TEST(Context, ArenaGridsRebuildWhenEntryCapacityChanges) {
   EXPECT_NE((*resized.grids)[0].slot_count(), slots);
 }
 
-TEST(Context, ArenaCandidatesRebuildOnCapacityMismatch) {
+TEST(Context, ArenaCandidateBuffersCarryOverAndTrimToCount) {
   ScratchArena arena;
-  CandidateSet& first = arena.candidates(1 << 12);
-  EXPECT_EQ(first.capacity(), std::size_t{1} << 12);
-  first.insert(1, 2, 3);
-  ASSERT_EQ(first.size(), 1u);
+  std::vector<std::vector<Candidate>>& first = arena.candidate_buffers(6);
+  ASSERT_EQ(first.size(), 6u);
+  EXPECT_EQ(arena.stats().candidate_rebuilds, 6u);
+  EXPECT_EQ(arena.stats().candidate_reuses, 0u);
+  first[0].assign(1000, Candidate{1, 2, 3});
+  const std::size_t held = first[0].capacity();
+  EXPECT_GE(arena.memory_bytes(), held * sizeof(Candidate));
 
-  // Same capacity: reused, and handed back cleared.
-  CandidateSet& same = arena.candidates(1 << 12);
-  EXPECT_EQ(same.size(), 0u);
-  EXPECT_EQ(arena.stats().candidate_reuses, 1u);
+  // Same count: every buffer is carried over with the capacity it grew to.
+  std::vector<std::vector<Candidate>>& again = arena.candidate_buffers(6);
+  EXPECT_EQ(arena.stats().candidate_reuses, 6u);
+  EXPECT_EQ(arena.stats().candidate_rebuilds, 6u);
+  EXPECT_EQ(again[0].capacity(), held);
 
-  // Different capacity (e.g. the previous screen's grow() doubled it, or
-  // the sizing plan changed): rebuilt at exactly the requested size.
-  CandidateSet& grown = arena.candidates(1 << 13);
-  EXPECT_EQ(grown.capacity(), std::size_t{1} << 13);
-  EXPECT_EQ(arena.stats().candidate_rebuilds, 2u);
+  // Fewer buffers wanted: the surplus is released, the rest carried over.
+  const std::uint64_t shrinks = arena.stats().vector_shrinks;
+  EXPECT_EQ(arena.candidate_buffers(2).size(), 2u);
+  EXPECT_EQ(arena.stats().vector_shrinks, shrinks + 1);
+  EXPECT_EQ(arena.stats().candidate_reuses, 8u);
+
+  // More wanted: the two held ones are reused, three are created.
+  EXPECT_EQ(arena.candidate_buffers(5).size(), 5u);
+  EXPECT_EQ(arena.stats().candidate_reuses, 10u);
+  EXPECT_EQ(arena.stats().candidate_rebuilds, 9u);
+
+  arena.release();
+  EXPECT_EQ(arena.memory_bytes(), 0u);
+  EXPECT_EQ(arena.candidate_buffers(3).size(), 3u);
+  EXPECT_EQ(arena.stats().candidate_rebuilds, 12u);
 }
 
 TEST(Context, ArenaValidFlagsComeBackZeroFilled) {

@@ -120,26 +120,6 @@ TEST(PipelineEdges, EncounterAtSpanStartIsReported) {
   EXPECT_TRUE(found);
 }
 
-TEST(PipelineEdges, HybridHalfStencilMatchesFull) {
-  // The half-stencil ablation must also hold for the hybrid variant.
-  const auto sats = small_shell(60, 4);
-  ScreeningConfig cfg;
-  cfg.threshold_km = 5.0;
-  cfg.t_end = 6000.0;
-
-  GridPipelineOptions full = HybridScreener::default_options();
-  GridPipelineOptions half = HybridScreener::default_options();
-  half.half_stencil = true;
-
-  const auto r_full = HybridScreener(full).screen(sats, cfg);
-  const auto r_half = HybridScreener(half).screen(sats, cfg);
-  ASSERT_EQ(r_full.conjunctions.size(), r_half.conjunctions.size());
-  for (std::size_t i = 0; i < r_full.conjunctions.size(); ++i) {
-    EXPECT_EQ(r_full.conjunctions[i].sat_a, r_half.conjunctions[i].sat_a);
-    EXPECT_NEAR(r_full.conjunctions[i].tca, r_half.conjunctions[i].tca, 1e-3);
-  }
-}
-
 TEST(PipelineEdges, StreamingWithSingleRoundStillWorks) {
   // Degenerate streaming: everything fits into one round; the sink gets
   // exactly one callback carrying all conjunctions.

@@ -25,7 +25,11 @@ struct ServeRun {
 
 /// Runs scod_serve with `commands` piped to stdin and the given options.
 ServeRun run_serve(const std::string& options, const std::string& commands) {
-  const std::string script = testing::TempDir() + "/scod_serve_input.txt";
+  // One script per test: ctest runs the tests of this file as parallel
+  // processes that share TempDir().
+  const std::string script =
+      testing::TempDir() + "/scod_serve_input_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
   {
     std::ofstream out(script);
     out << commands;

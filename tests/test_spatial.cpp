@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "spatial/cell.hpp"
-#include "spatial/conjunction_set.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/murmur3.hpp"
 #include "util/rng.hpp"
@@ -139,101 +138,26 @@ TEST(CellIndexer, RejectsInvalidConfig) {
   EXPECT_THROW(CellIndexer(0.001), std::invalid_argument);
 }
 
-TEST(Neighborhood, FullStencilHas27UniqueOffsets) {
-  const auto& offsets = cell_neighborhood();
-  EXPECT_EQ(offsets.size(), 27u);
-  EXPECT_EQ(offsets[0], (CellCoord{0, 0, 0}));
-  std::set<std::tuple<int, int, int>> unique;
-  for (const CellCoord& o : offsets) {
-    EXPECT_GE(o.x, -1);
-    EXPECT_LE(o.x, 1);
-    unique.insert({o.x, o.y, o.z});
-  }
-  EXPECT_EQ(unique.size(), 27u);
-}
-
 TEST(Neighborhood, HalfStencilCoversEachPairOnce) {
   const auto& half = cell_half_neighborhood();
   EXPECT_EQ(half.size(), 14u);
   EXPECT_EQ(half[0], (CellCoord{0, 0, 0}));
-  // For every non-self offset o, exactly one of {o, -o} is in the half
-  // stencil.
-  for (const CellCoord& o : cell_neighborhood()) {
-    if (o == CellCoord{0, 0, 0}) continue;
-    int count = 0;
-    for (const CellCoord& h : half) {
-      if (h == o) ++count;
-      if (h == CellCoord{-o.x, -o.y, -o.z}) ++count;
+  // For every non-self offset o in {-1, 0, 1}^3, exactly one of {o, -o} is
+  // in the half stencil.
+  for (std::int32_t dz = -1; dz <= 1; ++dz) {
+    for (std::int32_t dy = -1; dy <= 1; ++dy) {
+      for (std::int32_t dx = -1; dx <= 1; ++dx) {
+        const CellCoord o{dx, dy, dz};
+        if (o == CellCoord{0, 0, 0}) continue;
+        int count = 0;
+        for (const CellCoord& h : half) {
+          if (h == o) ++count;
+          if (h == CellCoord{-o.x, -o.y, -o.z}) ++count;
+        }
+        EXPECT_EQ(count, 1) << o.x << "," << o.y << "," << o.z;
+      }
     }
-    EXPECT_EQ(count, 1) << o.x << "," << o.y << "," << o.z;
   }
-}
-
-TEST(CandidateSet, PackUnpackRoundTrip) {
-  const std::uint64_t key = pack_candidate(42, 7, 1234);
-  const Candidate c = unpack_candidate(key);
-  EXPECT_EQ(c.sat_a, 7u);  // normalized to (min, max)
-  EXPECT_EQ(c.sat_b, 42u);
-  EXPECT_EQ(c.step, 1234u);
-  EXPECT_EQ(pack_candidate(7, 42, 1234), key);
-}
-
-TEST(CandidateSet, PackValidatesRanges) {
-  EXPECT_NO_THROW(pack_candidate((1u << 20) - 1, 0, 0));
-  EXPECT_THROW(pack_candidate(1u << 20, 0, 0), std::out_of_range);
-  EXPECT_THROW(pack_candidate(0, 1, 1u << 24), std::out_of_range);
-}
-
-TEST(CandidateSet, InsertDeduplicates) {
-  CandidateSet set(100);
-  EXPECT_EQ(set.insert(1, 2, 3), CandidateSet::Insert::kInserted);
-  EXPECT_EQ(set.insert(2, 1, 3), CandidateSet::Insert::kDuplicate);
-  EXPECT_EQ(set.insert(1, 2, 4), CandidateSet::Insert::kInserted);
-  EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(CandidateSet, DrainReturnsAllStored) {
-  CandidateSet set(1000);
-  std::set<std::uint64_t> reference;
-  Rng rng(5);
-  for (int i = 0; i < 500; ++i) {
-    const std::uint32_t a = static_cast<std::uint32_t>(rng.uniform_index(100));
-    const std::uint32_t b = static_cast<std::uint32_t>(rng.uniform_index(100));
-    if (a == b) continue;
-    const std::uint32_t step = static_cast<std::uint32_t>(rng.uniform_index(50));
-    set.insert(a, b, step);
-    reference.insert(pack_candidate(a, b, step));
-  }
-  const auto drained = set.drain();
-  EXPECT_EQ(drained.size(), reference.size());
-  for (const Candidate& c : drained) {
-    EXPECT_TRUE(reference.count(pack_candidate(c.sat_a, c.sat_b, c.step)));
-  }
-}
-
-TEST(CandidateSet, ReportsFullAndGrows) {
-  CandidateSet set(4);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(set.insert(i, i + 1, 0), CandidateSet::Insert::kInserted);
-  }
-  EXPECT_EQ(set.insert(50, 51, 0), CandidateSet::Insert::kFull);
-  // Duplicates are still recognized when full.
-  EXPECT_EQ(set.insert(0, 1, 0), CandidateSet::Insert::kDuplicate);
-
-  set.grow();
-  EXPECT_EQ(set.size(), 4u);  // contents preserved
-  EXPECT_EQ(set.insert(50, 51, 0), CandidateSet::Insert::kInserted);
-  EXPECT_EQ(set.insert(0, 1, 0), CandidateSet::Insert::kDuplicate);
-  EXPECT_EQ(set.size(), 5u);
-}
-
-TEST(CandidateSet, ClearEmptiesTheSet) {
-  CandidateSet set(16);
-  set.insert(1, 2, 3);
-  set.clear();
-  EXPECT_EQ(set.size(), 0u);
-  EXPECT_TRUE(set.drain().empty());
-  EXPECT_EQ(set.insert(1, 2, 3), CandidateSet::Insert::kInserted);
 }
 
 TEST(KdTree, MatchesBruteForceRadiusQueries) {

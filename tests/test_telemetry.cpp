@@ -79,9 +79,9 @@ TEST_F(Telemetry, ResetZeroesEverything) {
 }
 
 // The grid detection funnel is conservative: every tested pair is either
-// masked clean, distance-prefiltered, emitted as a fresh candidate, or
-// deduplicated — and the emitted count is exactly the pipeline's own
-// candidate statistic.
+// masked clean, distance-prefiltered, or emitted as a candidate (the
+// deduplicated bucket stays empty) — and the emitted count is exactly the
+// pipeline's own candidate statistic.
 TEST_F(Telemetry, GridFunnelConservation) {
   const auto sats = generate_population({400, 11});
   const ScreeningReport report =
@@ -95,6 +95,7 @@ TEST_F(Telemetry, GridFunnelConservation) {
   const std::uint64_t deduped = snap.value(Counter::kCandidatesDeduplicated);
   ASSERT_GT(tested, 0u);
   EXPECT_EQ(tested, masked + prefiltered + emitted + deduped);
+  EXPECT_EQ(deduped, 0u);  // the half stencil emits each (pair, step) once
   EXPECT_EQ(emitted, report.stats.candidates);
 
   // Insertion side: one grid insert per propagated sample, and the probe
@@ -170,6 +171,29 @@ TEST_F(Telemetry, HybridFilterConservation) {
   EXPECT_EQ(snap.value(Counter::kConjunctionsReported),
             report.conjunctions.size());
   EXPECT_GT(snap.value(Counter::kTimeFilteringNs), 0u);
+}
+
+// The hybrid's coarse-grid front end has the same detection funnel as the
+// grid variant: every tested pair is masked, prefiltered or emitted, and
+// no (pair, step) is emitted twice.
+TEST_F(Telemetry, HybridDetectionEmitsEachPairOnce) {
+  const auto sats = generate_population({400, 11});
+  const ScreeningReport report =
+      screen(sats, config(10.0, 1800.0, 16.0), Variant::kHybrid);
+  const obs::TelemetrySnapshot snap = obs::snapshot();
+
+  const std::uint64_t tested = snap.value(Counter::kPairsTested);
+  const std::uint64_t masked = snap.value(Counter::kPairsMaskedClean);
+  const std::uint64_t prefiltered = snap.value(Counter::kPairsPrefiltered);
+  const std::uint64_t emitted = snap.value(Counter::kCandidatesEmitted);
+  const std::uint64_t deduped = snap.value(Counter::kCandidatesDeduplicated);
+  ASSERT_GT(tested, 0u);
+  EXPECT_EQ(masked, 0u);  // a full screen has no dirty mask
+  EXPECT_EQ(tested, masked + prefiltered + emitted + deduped);
+  EXPECT_EQ(deduped, 0u);
+  EXPECT_EQ(emitted, report.stats.candidates);
+  EXPECT_LE(snap.value(Counter::kCellsOccupied),
+            snap.value(Counter::kCellsScanned));
 }
 
 TEST_F(Telemetry, LegacyFilterConservation) {

@@ -100,7 +100,7 @@ void print_stats(const ScreeningService& service) {
               s.last_timings.refinement, s.last_merge_seconds);
   std::printf("  total screen time %.3f s\n", s.total_screen_seconds);
   // The warm scratch the service carries between epochs: how often grids
-  // and candidate sets were reused vs rebuilt, and what is held resident.
+  // and candidate buffers were reused vs rebuilt, and what is held resident.
   const ScratchArena& arena = service.context().arena();
   const ScratchArena::Stats& a = arena.stats();
   std::printf("  context arena: %.1f MiB resident; grids %llu reused / %llu "
