@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
           ScreeningConfig cfg = make_config(opt);
           cfg.threshold_km = d;
           cfg.seconds_per_sample = sps * sps_scale;
-          const ScreeningReport report = screen(sats, cfg, variant);
+          const ScreeningReport report = make_screener(variant)->screen(sats, cfg);
           observations.push_back(
               {{n, sps * sps_scale, d},
                static_cast<double>(report.stats.candidates)});

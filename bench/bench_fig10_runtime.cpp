@@ -1,15 +1,12 @@
-/// Fig. 10 (a/b/c): runtime of the five conjunction-detection variants —
-/// grid CPU, hybrid CPU, grid devicesim ("GPU"), hybrid devicesim, legacy —
-/// over growing satellite populations.
+/// Fig. 10 (a/b/c): runtime of the CPU conjunction-detection variants —
+/// grid, hybrid, legacy — over growing satellite populations. The paper's
+/// GPU series (RTX 3090) is not reproduced.
 ///
 /// Size presets mirror the paper's three panels, scaled to laptop budgets:
 ///   --sizes small   -> 1000,2000,4000        (Fig. 10a regime, with legacy)
 ///   --sizes medium  -> 8000,16000            (Fig. 10b regime)
 ///   --sizes large   -> 32000,64000           (Fig. 10c regime, no legacy)
 /// or any explicit list, e.g. --sizes 2000,4000,8000.
-///
-/// The devicesim backend reports the paper's Section V-C observation that
-/// allocation + host/device transfers are a small fraction of total time.
 
 #include <cstdio>
 #include <string>
@@ -77,29 +74,15 @@ int main(int argc, char** argv) {
     ScreeningConfig hybrid_cfg = make_config(opt);
     hybrid_cfg.seconds_per_sample = opt.sps_hybrid;
 
-    run("grid-cpu", [&] { return screen(sats, grid_cfg, Variant::kGrid); });
-    run("hybrid-cpu", [&] { return screen(sats, hybrid_cfg, Variant::kHybrid); });
-
-    if (opt.device) {
-      Device device;
-      ScreeningConfig dev_grid = grid_cfg;
-      dev_grid.device = &device;
-      run("grid-devicesim", [&] { return screen(sats, dev_grid, Variant::kGrid); });
-      const double transfer =
-          device.stats().modelled_transfer_seconds(device.properties());
-      std::printf("      devicesim: %llu kernels, modelled transfer %.4f s\n",
-                  static_cast<unsigned long long>(device.stats().kernels_launched),
-                  transfer);
-
-      Device device2;
-      ScreeningConfig dev_hybrid = hybrid_cfg;
-      dev_hybrid.device = &device2;
-      run("hybrid-devicesim",
-          [&] { return screen(sats, dev_hybrid, Variant::kHybrid); });
-    }
+    const auto grid = make_screener(Variant::kGrid);
+    const auto hybrid = make_screener(Variant::kHybrid);
+    run("grid-cpu", [&] { return grid->screen(sats, grid_cfg); });
+    run("hybrid-cpu", [&] { return hybrid->screen(sats, hybrid_cfg); });
 
     if (n64 <= opt.legacy_max) {
-      run("legacy", [&] { return screen(sats, make_config(opt), Variant::kLegacy); });
+      run("legacy", [&] {
+        return make_screener(Variant::kLegacy)->screen(sats, make_config(opt));
+      });
     } else {
       std::printf("  n=%7zu %-16s   skipped (beyond --legacy-max %lld, the "
                   "regime where the paper's legacy runs out of memory/time)\n",

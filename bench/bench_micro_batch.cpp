@@ -2,12 +2,11 @@
 /// propagates every satellite at every sample, and PR "batched SoA kernel"
 /// replaced its one-virtual-call-per-tuple loop with
 /// TwoBodyPropagator::positions_at over the SoA mirror. This harness
-/// measures positions/s of both paths at several population sizes, checks
-/// they agree to 1e-12 km (they are bit-identical by construction), and
-/// runs the grid screener end to end with the batch kernel on and off.
+/// measures positions/s of both paths at several population sizes and
+/// checks they agree to 1e-12 km (they are bit-identical by construction);
+/// it exits 1 when they do not.
 ///
-///   ./bench_micro_batch --sizes 10000,100000,1000000 --e2e-n 4000
-///       --json ../BENCH_pr1.json   (one line)
+///   ./bench_micro_batch --sizes 10000,100000,1000000 --json out.json
 ///
 /// Committed snapshots follow the BENCH_<tag>.json convention (repo root).
 
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/grid_screener.hpp"
 #include "orbit/elements.hpp"
 #include "propagation/contour_solver.hpp"
 #include "propagation/two_body.hpp"
@@ -102,20 +100,15 @@ Throughput measure(const TwoBodyPropagator& prop, std::int64_t repeats) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv,
-                     {"sizes", "e2e-n", "span", "threshold", "repeats", "seed",
-                      "json", "threads"});
+                     {"sizes", "repeats", "seed", "json"});
   if (!args.unknown().empty()) {
     std::fprintf(stderr, "unknown option: %s\n", args.unknown().front().c_str());
     std::fprintf(stderr,
-                 "known: --sizes a,b,c --e2e-n N --span S --threshold D "
-                 "--repeats R --seed S --json PATH\n");
+                 "known: --sizes a,b,c --repeats R --seed S --json PATH\n");
     return 2;
   }
   const std::vector<std::int64_t> sizes =
       args.get_int_list("sizes", {10'000, 100'000, 1'000'000});
-  const auto e2e_n = static_cast<std::size_t>(args.get_int("e2e-n", 4000));
-  const double span = args.get_double("span", 3600.0);
-  const double threshold = args.get_double("threshold", 2.0);
   const std::int64_t repeats = args.get_int("repeats", 3);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   JsonBenchWriter json(args.get_string("json", ""));
@@ -144,52 +137,6 @@ int main(int argc, char** argv) {
     json.record("micro_positions", n, "batch", t.batch_seconds, 0);
   }
 
-  // End to end: the grid screener with the batched insertion kernel on
-  // (default) and off (per-tuple virtual dispatch). Same conjunctions —
-  // the kernel is bit-identical — different insertion-phase time.
-  std::printf("\nend-to-end grid screening, n=%zu, span=%.0f s:\n", e2e_n, span);
-  const auto sats = generate_population({e2e_n, seed});
-  ScreeningConfig cfg;
-  cfg.threshold_km = threshold;
-  cfg.t_begin = 0.0;
-  cfg.t_end = span;
-
-  std::size_t conj_batch = 0, conj_scalar = 0;
-  double batch_ins = 0.0, scalar_ins = 0.0;
-  const double batch_secs = median_seconds(
-      [&] {
-        // batch_propagation defaults to true
-        const ScreeningReport report =
-            make_screener(Variant::kGrid)->screen(sats, cfg);
-        conj_batch = report.conjunctions.size();
-        batch_ins = report.timings.insertion;
-      },
-      repeats);
-  const double scalar_secs = median_seconds(
-      [&] {
-        GridPipelineOptions options = GridScreener::default_options();
-        options.batch_propagation = false;
-        const ScreeningReport report =
-            make_screener(Variant::kGrid, nullptr, pipeline_options(options))
-                ->screen(sats, cfg);
-        conj_scalar = report.conjunctions.size();
-        scalar_ins = report.timings.insertion;
-      },
-      repeats);
-
-  std::printf("  batch : %8.3f s total, %8.3f s insertion (%zu conjunctions)\n",
-              batch_secs, batch_ins, conj_batch);
-  std::printf("  scalar: %8.3f s total, %8.3f s insertion (%zu conjunctions)\n",
-              scalar_secs, scalar_ins, conj_scalar);
-  std::printf("  end-to-end speedup %.2fx, insertion speedup %.2fx\n",
-              scalar_secs / batch_secs, scalar_ins / batch_ins);
-  json.record("grid_e2e", e2e_n, "batch", batch_secs, conj_batch);
-  json.record("grid_e2e", e2e_n, "scalar", scalar_secs, conj_scalar);
-
-  if (conj_batch != conj_scalar) {
-    std::fprintf(stderr, "FAIL: conjunction count differs between kernels\n");
-    return 1;
-  }
   if (!all_equivalent) {
     std::fprintf(stderr, "FAIL: batch/scalar positions differ by more than 1e-12 km\n");
     return 1;

@@ -1,12 +1,11 @@
 /// Table I analogue: the benchmark system configuration. The paper lists
 /// its two testbeds (Ryzen 5950X + RTX 3090 / dual Xeon 9242); this prints
-/// the host this reproduction actually runs on, plus the simulated device
-/// the CUDA variants are substituted with (see DESIGN.md).
+/// the host this reproduction actually runs on. The GPU testbed has no
+/// counterpart: the CUDA variants are not reproduced (see DESIGN.md).
 
 #include <cstdio>
 #include <iostream>
 
-#include "parallel/device.hpp"
 #include "util/sysinfo.hpp"
 #include "util/table.hpp"
 
@@ -24,17 +23,6 @@ int main() {
   host.add_row({"CPU clock (current)", TextTable::num(info.cpu_mhz, 0) + " MHz"});
   host.add_row({"System memory", TextTable::num(info.memory_gib, 1) + " GiB"});
   host.print(std::cout);
-
-  const DeviceProperties dev;
-  std::printf("\nSimulated device (substitution for the paper's RTX 3090):\n");
-  TextTable device({"Device property", "Value"});
-  device.add_row({"Name", dev.name});
-  device.add_row({"Device memory", TextTable::num(
-                      static_cast<double>(dev.memory_bytes) / (1 << 30), 1) + " GiB"});
-  device.add_row({"Max threads per block", TextTable::integer(dev.max_threads_per_block)});
-  device.add_row({"Modelled transfer bandwidth",
-                  TextTable::num(dev.transfer_bandwidth / 1e9, 1) + " GB/s"});
-  device.print(std::cout);
 
   std::printf(
       "\nPaper reference systems: AMD Ryzen 9 5950X (16C/32T, 64 GB) + NVIDIA\n"

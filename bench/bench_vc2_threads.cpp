@@ -47,13 +47,13 @@ int main(int argc, char** argv) {
     grid_cfg.seconds_per_sample = opt.sps_grid;
     grid_cfg.pool = &pool;
     const double grid_secs = median_seconds(
-        [&] { screen(sats, grid_cfg, Variant::kGrid); }, opt.repeats);
+        [&] { make_screener(Variant::kGrid)->screen(sats, grid_cfg); }, opt.repeats);
 
     ScreeningConfig hybrid_cfg = make_config(opt);
     hybrid_cfg.seconds_per_sample = opt.sps_hybrid;
     hybrid_cfg.pool = &pool;
     const double hybrid_secs = median_seconds(
-        [&] { screen(sats, hybrid_cfg, Variant::kHybrid); }, opt.repeats);
+        [&] { make_screener(Variant::kHybrid)->screen(sats, hybrid_cfg); }, opt.repeats);
 
     if (t == threads.front()) {
       grid_base = grid_secs;

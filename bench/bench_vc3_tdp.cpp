@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     ScreeningConfig cfg = make_config(opt);
     cfg.seconds_per_sample = sps;
     const double secs =
-        median_seconds([&] { screen(sats, cfg, v); }, opt.repeats);
+        median_seconds([&] { make_screener(v)->screen(sats, cfg); }, opt.repeats);
     table.add_row({name, TextTable::num(secs, 3), TextTable::num(secs * host_tdp, 1)});
   };
   add("grid-cpu", Variant::kGrid, opt.sps_grid);

@@ -29,10 +29,13 @@ int main(int argc, char** argv) {
   ScreeningConfig hybrid_cfg = make_config(opt);
   hybrid_cfg.seconds_per_sample = opt.sps_hybrid;
 
-  const ScreeningReport legacy = screen(sats, make_config(opt), Variant::kLegacy);
-  const ScreeningReport grid = screen(sats, grid_cfg, Variant::kGrid);
-  const ScreeningReport hybrid = screen(sats, hybrid_cfg, Variant::kHybrid);
-  const ScreeningReport sieve = screen(sats, make_config(opt), Variant::kSieve);
+  const ScreeningReport legacy =
+      make_screener(Variant::kLegacy)->screen(sats, make_config(opt));
+  const ScreeningReport grid = make_screener(Variant::kGrid)->screen(sats, grid_cfg);
+  const ScreeningReport hybrid =
+      make_screener(Variant::kHybrid)->screen(sats, hybrid_cfg);
+  const ScreeningReport sieve =
+      make_screener(Variant::kSieve)->screen(sats, make_config(opt));
 
   TextTable counts({"variant", "conjunctions", "colliding pairs"});
   auto add = [&](const std::string& name, const ScreeningReport& r) {

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/screen.hpp"
+#include "core/screener.hpp"
 #include "obs/telemetry.hpp"
 #include "population/generator.hpp"
 #include "util/cli.hpp"
@@ -40,21 +40,20 @@ struct HarnessOptions {
   std::uint64_t seed = 42;
   std::string csv;                   ///< optional machine-readable output path
   std::string json;                  ///< optional JSON records output path
-  bool device = true;                ///< also run the devicesim backend
   bool telemetry = false;            ///< collect src/obs counters per cell
 };
 
 inline HarnessOptions parse_harness_options(int argc, const char* const* argv) {
   const CliArgs args(argc, argv,
                      {"sizes", "legacy-max", "span", "threshold", "sps-grid",
-                      "sps-hybrid", "repeats", "seed", "csv", "json", "device",
+                      "sps-hybrid", "repeats", "seed", "csv", "json",
                       "threads", "telemetry"});
   if (!args.unknown().empty()) {
     std::fprintf(stderr, "unknown option: %s\n", args.unknown().front().c_str());
     std::fprintf(stderr,
                  "known: --sizes a,b,c --legacy-max N --span S --threshold D "
                  "--sps-grid S --sps-hybrid S --repeats R --seed S --csv PATH "
-                 "--json PATH --device 0|1 --telemetry 0|1\n");
+                 "--json PATH --telemetry 0|1\n");
     std::exit(2);
   }
   HarnessOptions opt;
@@ -68,7 +67,6 @@ inline HarnessOptions parse_harness_options(int argc, const char* const* argv) {
   opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   opt.csv = args.get_string("csv", "");
   opt.json = args.get_string("json", "");
-  opt.device = args.get_bool("device", opt.device);
   opt.telemetry = args.get_bool("telemetry", false);
   if (opt.telemetry && !obs::compiled()) {
     std::fprintf(stderr,

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/screen.hpp"
+#include "core/screener.hpp"
 #include "population/generator.hpp"
 #include "util/constants.hpp"
 
@@ -47,7 +47,7 @@ int main() {
     config.threshold_km = 2.0;
     config.t_end = 2.0 * 3600.0;
 
-    const ScreeningReport report = screen(all, config, Variant::kGrid);
+    const ScreeningReport report = make_screener(Variant::kGrid)->screen(all, config);
 
     // Count conjunctions that involve a constellation satellite (the ones
     // an operator must act on; cloud-internal encounters are unavoidable).

@@ -9,7 +9,7 @@
 #include <map>
 #include <vector>
 
-#include "core/screen.hpp"
+#include "core/screener.hpp"
 #include "population/generator.hpp"
 #include "util/constants.hpp"
 
@@ -44,7 +44,7 @@ int main() {
   config.threshold_km = 5.0;  // operator screening volumes are generous
   config.t_end = 6.0 * 3600.0;
 
-  const ScreeningReport report = screen(all, config, Variant::kHybrid);
+  const ScreeningReport report = make_screener(Variant::kHybrid)->screen(all, config);
   std::printf("hybrid screening: %zu conjunctions in %.2f s "
               "(%zu candidates, %zu pairs filtered by apogee/perigee)\n\n",
               report.conjunctions.size(), report.timings.total(),

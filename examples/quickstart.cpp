@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "core/screen.hpp"
+#include "core/screener.hpp"
 #include "population/generator.hpp"
 
 int main() {
@@ -32,7 +32,8 @@ int main() {
   // 3. Run the grid-based variant (lock-free spatial hash grids; use
   //    Variant::kHybrid for the filter-assisted variant, Variant::kLegacy
   //    for the all-on-all baseline).
-  const ScreeningReport report = screen(satellites, config, Variant::kGrid);
+  const ScreeningReport report =
+      make_screener(Variant::kGrid)->screen(satellites, config);
 
   // 4. Consume the results.
   std::printf("screened %zu satellites over %.0f s: %zu conjunctions, "

@@ -4,7 +4,6 @@
 
 #include "filters/coplanarity.hpp"
 #include "filters/time_windows.hpp"
-#include "parallel/device.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pca/refine.hpp"
 
@@ -30,8 +29,7 @@ struct ScreeningConfig {
   /// its own default; a value > 0 here overrides it.
   double seconds_per_sample = 0.0;
 
-  /// Memory budget m [bytes] for the sizing model (Section V-B). For the
-  /// devicesim backend the device's free memory is the budget instead.
+  /// Memory budget m [bytes] for the sizing model (Section V-B).
   std::uint64_t memory_budget = 2ull << 30;
 
   /// Plane angle below which a pair is handled by the coplanar path.
@@ -51,13 +49,8 @@ struct ScreeningConfig {
   /// minimum); <= 0 picks max(1 s, Brent tolerance * 8).
   double merge_tolerance = 0.0;
 
-  /// Worker pool; nullptr uses the process-global pool.
+  /// Worker pool; nullptr uses the process-global pool (see pool_of).
   ThreadPool* pool = nullptr;
-
-  /// When set, the screening runs on the devicesim backend: kernel-style
-  /// launches, device-accounted memory, sizing against device memory —
-  /// the stand-in for the paper's CUDA variants (see DESIGN.md).
-  Device* device = nullptr;
 
   double span_seconds() const { return t_end - t_begin; }
 
@@ -68,5 +61,10 @@ struct ScreeningConfig {
                                         : 1.0);
   }
 };
+
+/// The pool a screening with `config` runs on.
+inline ThreadPool& pool_of(const ScreeningConfig& config) {
+  return config.pool != nullptr ? *config.pool : global_thread_pool();
+}
 
 }  // namespace scod

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/context.hpp"
-#include "core/exec.hpp"
 #include "obs/telemetry.hpp"
 #include "orbit/geometry.hpp"
 #include "propagation/two_body.hpp"
@@ -18,30 +16,12 @@
 
 namespace scod {
 
-using detail::execute;
-using detail::pool_of;
-
 namespace {
 
 /// Grid slots one detection task scans. Large enough to amortize the task
 /// hand-off, small enough that one step's grid splits across the workers
 /// when a round holds only a few steps.
 constexpr std::size_t kChunkSlots = 4096;
-
-/// Simulates the host->device upload of `bytes` of propagation data with
-/// real (chunked) copies so the transfer accounting reflects actual bytes.
-void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t bytes) {
-  static constexpr std::size_t kChunk = 1 << 20;
-  std::vector<std::byte> staging(std::min(bytes, kChunk));
-  std::size_t offset = 0;
-  while (offset < bytes) {
-    const std::size_t n = std::min(kChunk, bytes - offset);
-    // The staging buffer stands in for the Kepler-solver cache slice; the
-    // copy itself and its byte count are real.
-    device.copy_to_device(dst, staging.data(), n);
-    offset += n;
-  }
-}
 
 GridPipelineResult run_pipeline_impl(const Propagator& propagator,
                                      const ScreeningConfig& caller_config,
@@ -64,10 +44,6 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
     throw std::invalid_argument("run_grid_pipeline: empty time span");
   }
 
-  Device* device = config.device;
-  const std::uint64_t budget =
-      device != nullptr ? device->memory_free() : config.memory_budget;
-
   if (!options.dirty_mask.empty() && options.dirty_mask.size() != n) {
     throw std::invalid_argument(
         "run_grid_pipeline: dirty_mask size does not match the population");
@@ -77,11 +53,9 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
                                   : options.dirty_mask.data();
 
   // Resolved once: the batched insertion path needs the concrete SoA
-  // propagator and only applies on the CPU backend.
+  // propagator.
   const TwoBodyPropagator* batch_propagator =
-      options.batch_propagation && device == nullptr
-          ? dynamic_cast<const TwoBodyPropagator*>(&propagator)
-          : nullptr;
+      dynamic_cast<const TwoBodyPropagator*>(&propagator);
 
   // Sizing (Section V-B): candidate reservation from the Extra-P model,
   // then the sample parallelism p from the remaining budget. The automatic
@@ -91,7 +65,7 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   request.satellites = n;
   request.span_seconds = config.span_seconds();
   request.seconds_per_sample = options.seconds_per_sample;
-  request.memory_budget = budget;
+  request.memory_budget = config.memory_budget;
 
   const AutoAdjustResult adjusted =
       auto_adjust_sps(options.count_model, request, config.threshold_km);
@@ -143,20 +117,6 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   result.candidate_memory_bytes =
       candidate_map_bytes(request.candidate_capacity, request.layout);
 
-  // Device mode: account the fixed data, grids and the planned candidate
-  // reservation against the simulated device memory and model the upload
-  // of the propagation cache (the paper reports ~3% of GPU time in
-  // allocation + transfers).
-  std::optional<DeviceBuffer<std::byte>> dev_fixed, dev_grids, dev_cands;
-  if (device != nullptr) {
-    const std::size_t fixed =
-        n * (request.layout.satellite_bytes + request.layout.kepler_cache_bytes);
-    dev_fixed = device->alloc<std::byte>(fixed);
-    simulate_upload(*device, *dev_fixed, fixed);
-    dev_grids = device->alloc<std::byte>(result.grid_memory_bytes);
-    dev_cands = device->alloc<std::byte>(result.candidate_memory_bytes);
-  }
-
   result.allocation_seconds = alloc_watch.seconds();
 
   const auto stencil = std::span<const CellCoord>(cell_half_neighborhood());
@@ -175,11 +135,9 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
     }
 
     // Step 2a (INS): one logical thread per (sample, satellite) tuple. With
-    // a TwoBodyPropagator on the CPU backend the tuples are handed to
-    // workers as ranges and propagated through the batched SoA kernel —
-    // same positions, no per-tuple virtual dispatch (bit-identical, see
-    // GridPipelineOptions::batch_propagation). The devicesim backend keeps
-    // the per-tuple kernel, mirroring the paper's GPU decomposition.
+    // a TwoBodyPropagator the tuples are handed to workers as ranges and
+    // propagated through the batched SoA kernel — same positions as the
+    // per-tuple position() calls, without their virtual dispatch.
     Stopwatch ins_watch;
     std::atomic<std::size_t> insert_failures{0};
     if (batch_propagator != nullptr) {
@@ -210,7 +168,7 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
         }
       });
     } else {
-      execute(config, steps * n, [&](std::size_t idx) {
+      pool_of(config).parallel_for(steps * n, [&](std::size_t idx) {
         const std::size_t local = idx / n;
         const std::size_t sat = idx % n;
         const double t =
@@ -238,7 +196,7 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
     // all 26 neighbours and removes the second copy in a lock-free hash
     // map; both find the same candidate set.
     Stopwatch cd_watch;
-    execute(config, steps * chunks_per_step, [&](std::size_t chunk) {
+    pool_of(config).parallel_for(steps * chunks_per_step, [&](std::size_t chunk) {
       const std::size_t local = chunk / chunks_per_step;
       const std::size_t first = (chunk % chunks_per_step) * chunk_slots;
       const std::size_t last = std::min(first + chunk_slots, slots);

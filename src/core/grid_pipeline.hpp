@@ -53,14 +53,6 @@ struct GridPipelineOptions {
   /// pairs are skipped because their conjunctions are unchanged from the
   /// cached baseline report. Empty (the default) screens every pair.
   std::span<const std::uint8_t> dirty_mask = {};
-  /// Run the insertion phase through the batched SoA propagation kernel
-  /// (TwoBodyPropagator::positions_at) instead of one virtual position()
-  /// call per (sample, satellite) tuple. Applies on the CPU backend when
-  /// the propagator is a TwoBodyPropagator; the devicesim backend keeps the
-  /// paper's one-thread-per-tuple kernel. Positions are bit-identical
-  /// either way — disable only to benchmark the scalar path
-  /// (bench_micro_batch).
-  bool batch_propagation = true;
   /// Long-lived screening context to borrow step-1 scratch from (grids,
   /// candidate buffers, vmax table). Checked-out buffers are reset to exactly
   /// the state a fresh allocation would have, so results are bit-identical
@@ -93,14 +85,15 @@ struct GridPipelineResult {
 };
 
 /// Runs the grid front-end over the whole span: plans the sample
-/// parallelism from the memory budget (device memory when config.device is
-/// set), then for each round propagates all satellites into the per-step
-/// grids and scans every occupied cell plus its 13 forward neighbours
-/// (cell_half_neighborhood) for candidate pairs. Every pair of
-/// neighbouring cells is visited from exactly one side, so each
-/// (pair, step) is emitted once and needs no deduplication. The output
-/// order is a function of the input alone, independent of the thread
-/// count and scheduling.
+/// parallelism from config.memory_budget, then for each round propagates
+/// all satellites into the per-step grids (through the batched SoA kernel
+/// when the propagator is a TwoBodyPropagator, else one position() call
+/// per tuple; the positions are bit-identical) and scans every occupied
+/// cell plus its 13 forward neighbours (cell_half_neighborhood) for
+/// candidate pairs. Every pair of neighbouring cells is visited from
+/// exactly one side, so each (pair, step) is emitted once and needs no
+/// deduplication. The output order is a function of the input alone,
+/// independent of the thread count and scheduling.
 ///
 /// Throws std::runtime_error when even a single grid does not fit into the
 /// memory budget.

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "core/context.hpp"
-#include "core/exec.hpp"
 #include "obs/telemetry.hpp"
 #include "pca/pair_evaluator.hpp"
 #include "pca/refine.hpp"
@@ -32,7 +31,7 @@ std::vector<Conjunction> refine_candidates(const Propagator& propagator,
   std::vector<std::uint8_t>& valid = arena.valid_flags(candidates.size());
 
   const RefineFastPath fast = RefineFastPath::probe(propagator);
-  detail::execute(config, candidates.size(), [&](std::size_t i) {
+  pool_of(config).parallel_for(candidates.size(), [&](std::size_t i) {
     const Candidate& c = candidates[i];
     const double t_s = pipeline.sample_time(c.step, config.t_begin, config.t_end);
     // "t is the time it takes the slower of both satellites to cross two

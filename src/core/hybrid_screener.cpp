@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "core/context.hpp"
-#include "core/exec.hpp"
 #include "filters/apogee_perigee.hpp"
 #include "obs/telemetry.hpp"
 #include "filters/coplanarity.hpp"
@@ -121,7 +120,7 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
   std::atomic<std::size_t> rejected_ap{0}, rejected_path{0}, rejected_windows{0},
       coplanar_count{0};
 
-  detail::pool_of(config).parallel_for(pair_ranges.size(), [&](std::size_t pi) {
+  pool_of(config).parallel_for(pair_ranges.size(), [&](std::size_t pi) {
     const Candidate& c = candidates[pair_ranges[pi].first];
     const KeplerElements& ea = propagator.elements(c.sat_a);
     const KeplerElements& eb = propagator.elements(c.sat_b);
@@ -224,7 +223,7 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
   // entries once (PairStateEvaluator) so the Brent objective is a direct
   // call instead of two virtual dispatches per evaluation.
   const RefineFastPath fast = RefineFastPath::probe(propagator);
-  detail::execute(config, tasks.size(), [&](std::size_t i) {
+  pool_of(config).parallel_for(tasks.size(), [&](std::size_t i) {
     const RefineTask& task = tasks[i];
     std::optional<Encounter> encounter;
     if (fast.available()) {

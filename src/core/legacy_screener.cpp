@@ -1,7 +1,6 @@
 #include "core/legacy_screener.hpp"
 
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "core/context.hpp"
@@ -38,10 +37,6 @@ ScreeningReport LegacyScreener::screen(std::span<const Satellite> satellites,
 
 ScreeningReport LegacyScreener::screen(const Propagator& propagator,
                                        const ScreeningConfig& config) const {
-  if (config.device != nullptr) {
-    throw std::invalid_argument(
-        "screen: the legacy variant has no device backend");
-  }
   // The single-threaded chain carries no sized scratch; the context is
   // only the telemetry handle (and the cross-thread misuse guard).
   detail::ContextLease lease(context_);

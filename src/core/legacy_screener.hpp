@@ -25,8 +25,6 @@ class LegacyScreener final : public Screener {
 
   Variant variant() const override { return Variant::kLegacy; }
 
-  /// Throws std::invalid_argument when config.device is set: the legacy
-  /// baseline is CPU-only (and single-threaded) by definition.
   ScreeningReport screen(std::span<const Satellite> satellites,
                          const ScreeningConfig& config) const override;
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/context.hpp"
-#include "core/exec.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace scod {
@@ -71,9 +70,8 @@ ScreeningReport partitioned_screen(std::span<const Satellite> satellites,
     job.report = make_screener(variant)->screen(subset, job_config);
   };
 
-  if (config.device != nullptr || jobs.size() == 1) {
-    // Device launches serialize on the backend anyway; run jobs in order.
-    for (Job& job : jobs) run_job(job, config);
+  if (jobs.size() == 1) {
+    run_job(jobs.front(), config);
   } else {
     // Fan the block-pair jobs out across the outer pool. Inner screens
     // run on a single-thread pool: a nested run_on_all from a pool worker
@@ -82,7 +80,7 @@ ScreeningReport partitioned_screen(std::span<const Satellite> satellites,
     static ThreadPool inline_pool(1);
     ScreeningConfig job_config = config;
     job_config.pool = &inline_pool;
-    detail::pool_of(config).parallel_for(
+    pool_of(config).parallel_for(
         jobs.size(), [&](std::size_t j) { run_job(jobs[j], job_config); },
         /*grain=*/1);
   }

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "core/context.hpp"
-#include "core/exec.hpp"
 #include "filters/apogee_perigee.hpp"
 #include "obs/telemetry.hpp"
 #include "orbit/geometry.hpp"
@@ -39,10 +37,6 @@ ScreeningReport SieveScreener::screen(std::span<const Satellite> satellites,
 
 ScreeningReport SieveScreener::screen(const Propagator& propagator,
                                       const ScreeningConfig& caller_config) const {
-  if (caller_config.device != nullptr) {
-    throw std::invalid_argument(
-        "screen: the sieve variant has no device backend");
-  }
   detail::ContextLease lease(context_);
   ScreeningContext::Use use(*lease);
   const ScreeningConfig config = lease->apply(caller_config);
@@ -75,7 +69,7 @@ ScreeningReport SieveScreener::screen(const Propagator& propagator,
   // snapshot per pair covers the whole time scan.
   const RefineFastPath fast = RefineFastPath::probe(propagator);
 
-  detail::pool_of(config).parallel_for_ranges(
+  pool_of(config).parallel_for_ranges(
       pairs.size(), [&](std::size_t begin, std::size_t end) {
         std::vector<Conjunction> local;
         std::size_t local_evals = 0, local_refines = 0, local_ap = 0;

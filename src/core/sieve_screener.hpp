@@ -34,8 +34,6 @@ class SieveScreener final : public Screener {
 
   Variant variant() const override { return Variant::kSieve; }
 
-  /// Throws std::invalid_argument when config.device is set: the sieve
-  /// baseline is CPU-only by definition.
   ScreeningReport screen(std::span<const Satellite> satellites,
                          const ScreeningConfig& config) const override;
 

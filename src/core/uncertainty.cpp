@@ -30,7 +30,7 @@ ScreeningReport screen_with_uncertainty(std::span<const Satellite> satellites,
                                         const UncertaintyModel& model) {
   // Superset screening at the most conservative threshold any pair needs.
   config.threshold_km = model.max_threshold();
-  ScreeningReport report = screen(satellites, config, variant);
+  ScreeningReport report = make_screener(variant)->screen(satellites, config);
 
   std::erase_if(report.conjunctions, [&](const Conjunction& c) {
     return c.pca > model.pair_threshold(c.sat_a, c.sat_b);

@@ -6,7 +6,7 @@
 
 #include "core/config.hpp"
 #include "core/report.hpp"
-#include "core/screen.hpp"
+#include "core/screener.hpp"
 #include "orbit/elements.hpp"
 
 namespace scod {

@@ -29,8 +29,7 @@ struct TwoBodyCache {
 /// Structure-of-arrays mirror of the TwoBodyCache table: one contiguous
 /// array per field (rotation as nine cell arrays), so the batched
 /// propagation kernels stream satellite-major with stride-1 loads and the
-/// compiler vectorizes across satellites. This is also the layout a real
-/// device backend would upload wholesale.
+/// compiler vectorizes across satellites.
 struct TwoBodySoA {
   std::vector<double> mean_anomaly0;
   std::vector<double> mean_motion;

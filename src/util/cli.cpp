@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -44,6 +43,33 @@ CliArgs::CliArgs(int argc, const char* const* argv,
   }
 }
 
+namespace {
+
+/// Parses all of `value` with `parse` (std::stoll / std::stod); a failure,
+/// an out-of-range value or trailing characters throw
+/// std::invalid_argument naming the option.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& value, const char* what,
+                 Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto parsed = parse(value, &used);
+    if (used == value.size()) return parsed;
+  } catch (const std::logic_error&) {
+  }
+  throw std::invalid_argument("--" + name + ": expected " + what + ", got '" + value +
+                              "'");
+}
+
+std::int64_t parse_int(const std::string& name, const std::string& value) {
+  return parse_whole(name, value, "an integer",
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stoll(v, used);
+                     });
+}
+
+}  // namespace
+
 bool CliArgs::has(const std::string& name) const { return values_.count(name) > 0; }
 
 std::string CliArgs::get_string(const std::string& name, const std::string& fallback) const {
@@ -54,13 +80,16 @@ std::string CliArgs::get_string(const std::string& name, const std::string& fall
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
+  return parse_int(name, it->second);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  return parse_whole(name, it->second, "a number",
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stod(v, used);
+                     });
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
@@ -77,7 +106,7 @@ std::vector<std::int64_t> CliArgs::get_int_list(const std::string& name,
   std::stringstream ss(it->second);
   std::string token;
   while (std::getline(ss, token, ',')) {
-    if (!token.empty()) out.push_back(std::stoll(token));
+    if (!token.empty()) out.push_back(parse_int(name, token));
   }
   return out;
 }

@@ -20,6 +20,8 @@ class CliArgs {
   bool has(const std::string& name) const;
 
   std::string get_string(const std::string& name, const std::string& fallback) const;
+  /// Numeric getters throw std::invalid_argument naming the option when
+  /// the value is not a number of that kind in full (e.g. `--count 12x`).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

@@ -398,7 +398,7 @@ CaseResult run_differential(const FuzzCase& fuzz_case,
       obs::set_enabled(true);
     }
     const ScreeningReport report =
-        screen(fuzz_case.satellites, fuzz_case.config, variant);
+        make_screener(variant)->screen(fuzz_case.satellites, fuzz_case.config);
     if (counters) {
       obs::set_enabled(was_enabled);
       check_counter_invariants(variant_name(variant), variant, report,

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/report.hpp"
-#include "core/screen.hpp"
+#include "core/screener.hpp"
 #include "verify/adversarial.hpp"
 #include "verify/oracle.hpp"
 

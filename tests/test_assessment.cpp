@@ -7,7 +7,7 @@
 #include "assessment/geometry.hpp"
 #include "assessment/probability.hpp"
 #include "assessment/rtn.hpp"
-#include "core/screen.hpp"
+#include "core/screener.hpp"
 #include "propagation/kepler_solver.hpp"
 #include "propagation/two_body.hpp"
 #include "scenario_helpers.hpp"
@@ -206,7 +206,7 @@ TEST_F(GeometryFixture, AssessmentPipelineEndToEnd) {
   ScreeningConfig cfg;
   cfg.threshold_km = 5.0;
   cfg.t_end = 4000.0;
-  const ScreeningReport report = screen(sats_, cfg, Variant::kGrid);
+  const ScreeningReport report = make_screener(Variant::kGrid)->screen(sats_, cfg);
   ASSERT_FALSE(report.conjunctions.empty());
 
   std::vector<CdmObject> objects(2);
@@ -227,7 +227,7 @@ TEST_F(GeometryFixture, CdmWriterEmitsAllFields) {
   ScreeningConfig cfg;
   cfg.threshold_km = 5.0;
   cfg.t_end = 4000.0;
-  const ScreeningReport report = screen(sats_, cfg, Variant::kGrid);
+  const ScreeningReport report = make_screener(Variant::kGrid)->screen(sats_, cfg);
   ASSERT_FALSE(report.conjunctions.empty());
   const auto assessments = assess_conjunctions(*prop_, report);
 

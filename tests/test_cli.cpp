@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #ifndef SCOD_CLI_PATH
@@ -125,6 +126,99 @@ TEST(Cli, ScreenFailsCleanlyOnMissingCatalog) {
   const CliRun run = run_cli("screen --catalog /nonexistent/cat.csv");
   EXPECT_EQ(run.exit_code, 1);
   EXPECT_NE(run.output.find("cannot open"), std::string::npos);
+}
+
+TEST(Cli, EverySubcommandRejectsUnknownOptions) {
+  // A typo must not silently run with the default: --thresold would
+  // otherwise screen at 2 km and exit 0.
+  const std::string catalog = temp_path("cli_catalog_typo.csv");
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  const std::string commands[] = {
+      "screen --catalog " + catalog + " --thresold 50",
+      "assess --catalog " + catalog + " --thresold 50",
+      "cube --catalog " + catalog + " --cube_size 50",
+      "generate --count 20 --out " + temp_path("cli_typo_out.csv") + " --sed 3",
+  };
+  const std::string typos[] = {"--thresold", "--thresold", "--cube_size", "--sed"};
+  for (std::size_t i = 0; i < std::size(commands); ++i) {
+    const CliRun run = run_cli(commands[i]);
+    EXPECT_EQ(run.exit_code, 2) << commands[i] << "\n" << run.output;
+    EXPECT_NE(run.output.find("unknown option: " + typos[i]), std::string::npos)
+        << run.output;
+    EXPECT_EQ(run.output.find("conjunctions"), std::string::npos) << run.output;
+  }
+  std::ifstream never_written(temp_path("cli_typo_out.csv"));
+  EXPECT_FALSE(never_written.good());
+  std::remove(catalog.c_str());
+}
+
+TEST(Cli, StrayPositionalArgumentIsRejected) {
+  const std::string catalog = temp_path("cli_catalog_stray.csv");
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  const CliRun run = run_cli("screen --catalog " + catalog + " --span 600 hybrid");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("unknown option: hybrid"), std::string::npos) << run.output;
+  std::remove(catalog.c_str());
+}
+
+TEST(Cli, BadNumericValueNamesTheOption) {
+  const std::string catalog = temp_path("cli_catalog_numeric.csv");
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  const CliRun threshold = run_cli("screen --catalog " + catalog + " --threshold abc");
+  EXPECT_EQ(threshold.exit_code, 2);
+  EXPECT_NE(threshold.output.find("--threshold"), std::string::npos) << threshold.output;
+  EXPECT_NE(threshold.output.find("'abc'"), std::string::npos) << threshold.output;
+
+  // Trailing characters are an error too, not a silently truncated 12.
+  const CliRun count = run_cli("generate --count 12x --out " + catalog);
+  EXPECT_EQ(count.exit_code, 2);
+  EXPECT_NE(count.output.find("--count"), std::string::npos) << count.output;
+  EXPECT_EQ(count.output.find("wrote"), std::string::npos) << count.output;
+  std::remove(catalog.c_str());
+}
+
+TEST(Cli, ScreenRejectsNonPositiveOrNonFiniteThreshold) {
+  const std::string catalog = temp_path("cli_catalog_threshold.csv");
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  for (const char* value : {"-1", "0", "nan", "inf"}) {
+    const CliRun run =
+        run_cli("screen --catalog " + catalog + " --span 600 --threshold " + value);
+    EXPECT_EQ(run.exit_code, 2) << value << "\n" << run.output;
+    EXPECT_NE(run.output.find("--threshold"), std::string::npos) << run.output;
+    EXPECT_EQ(run.output.find("conjunctions"), std::string::npos) << run.output;
+  }
+  std::remove(catalog.c_str());
+}
+
+TEST(Cli, ScreenRejectsNegativeSps) {
+  const std::string catalog = temp_path("cli_catalog_sps.csv");
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  for (const char* value : {"-3", "nan"}) {
+    const CliRun run = run_cli("screen --catalog " + catalog + " --span 600 --sps " +
+                               value);
+    EXPECT_EQ(run.exit_code, 2) << value << "\n" << run.output;
+    EXPECT_NE(run.output.find("--sps"), std::string::npos) << run.output;
+  }
+  // 0 keeps meaning "the variant's default sampling period".
+  EXPECT_EQ(run_cli("screen --catalog " + catalog + " --span 600 --sps 0").exit_code, 0);
+  std::remove(catalog.c_str());
+}
+
+TEST(Cli, LibraryRejectedSpanIsAUsageError) {
+  // The grid pipeline throws std::invalid_argument for an empty or reversed
+  // span; scod reports that as a usage error (2), not a runtime failure (1).
+  const std::string catalog = temp_path("cli_catalog_span.csv");
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  for (const char* variant : {"grid", "hybrid"}) {
+    for (const char* span : {"0", "-5"}) {
+      const CliRun run = run_cli("screen --catalog " + catalog + " --variant " +
+                                 variant + " --span " + span);
+      EXPECT_EQ(run.exit_code, 2) << variant << " " << span << "\n" << run.output;
+      EXPECT_NE(run.output.find("empty time span"), std::string::npos) << run.output;
+      EXPECT_EQ(run.output.find("conjunctions"), std::string::npos) << run.output;
+    }
+  }
+  std::remove(catalog.c_str());
 }
 
 TEST(Cli, CubeEstimatorRuns) {

@@ -8,7 +8,6 @@
 #include "core/context.hpp"
 #include "core/grid_screener.hpp"
 #include "core/partitioned.hpp"
-#include "core/screen.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "population/generator.hpp"
@@ -263,7 +262,7 @@ TEST(Context, PartitionedScreenParallelJobsMatchDirect) {
   const auto sats = generate_population({160, 33});
   const ScreeningConfig cfg = make_config();
 
-  const ScreeningReport direct = screen(sats, cfg, Variant::kGrid);
+  const ScreeningReport direct = make_screener(Variant::kGrid)->screen(sats, cfg);
   ScreeningContext context;
   for (const std::size_t partitions : {2u, 3u}) {
     const ScreeningReport split =

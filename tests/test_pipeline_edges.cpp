@@ -3,7 +3,10 @@
 #include <cmath>
 
 #include "core/grid_pipeline.hpp"
-#include "core/screen.hpp"
+#include "core/grid_screener.hpp"
+#include "core/screener.hpp"
+#include "model/conjunction_model.hpp"
+#include "model/sizing.hpp"
 #include "filters/dense_scan.hpp"
 #include "propagation/contour_solver.hpp"
 #include "propagation/two_body.hpp"
@@ -35,44 +38,114 @@ TEST(PipelineEdges, HostBudgetTooSmallThrows) {
   ScreeningConfig cfg;
   cfg.t_end = 600.0;
   cfg.memory_budget = 64 << 10;  // 64 KiB: not even one grid + candidate map
-  EXPECT_THROW(screen(sats, cfg, Variant::kGrid), std::runtime_error);
+  EXPECT_THROW(make_screener(Variant::kGrid)->screen(sats, cfg), std::runtime_error);
 }
 
-TEST(PipelineEdges, DeviceMemorySizesThePlan) {
-  // The devicesim capacity, not the host budget, must drive the sizing:
-  // a tiny device forces multiple rounds even though the host budget is
-  // huge, and the result stays correct.
+TEST(PipelineEdges, HostBudgetSizesThePlan) {
+  // config.memory_budget drives the sizing: a small budget splits the span
+  // into several rounds, and the report does not change.
   const auto sats = small_shell(200, 2);
   ScreeningConfig roomy;
   roomy.t_end = 1800.0;
-  const auto reference = screen(sats, roomy, Variant::kGrid);
+  const auto reference = make_screener(Variant::kGrid)->screen(sats, roomy);
+  ASSERT_EQ(reference.stats.rounds, 1u);
 
-  DeviceProperties props;
-  props.memory_bytes = 3 << 20;  // 3 MiB device
-  Device tiny(props);
-  ScreeningConfig dev_cfg = roomy;
-  dev_cfg.device = &tiny;
-  dev_cfg.memory_budget = 1ull << 40;  // irrelevant in device mode
-  const auto constrained = screen(sats, dev_cfg, Variant::kGrid);
+  ScreeningConfig tight = roomy;
+  tight.memory_budget = 3 << 20;  // 3 MiB
+  const auto constrained = make_screener(Variant::kGrid)->screen(sats, tight);
 
   EXPECT_GT(constrained.stats.rounds, 1u);
+  EXPECT_EQ(constrained.stats.seconds_per_sample, reference.stats.seconds_per_sample);
+  EXPECT_EQ(constrained.stats.candidates, reference.stats.candidates);
   ASSERT_EQ(constrained.conjunctions.size(), reference.conjunctions.size());
   for (std::size_t i = 0; i < reference.conjunctions.size(); ++i) {
-    EXPECT_EQ(constrained.conjunctions[i].sat_a, reference.conjunctions[i].sat_a);
-    EXPECT_NEAR(constrained.conjunctions[i].tca, reference.conjunctions[i].tca, 1e-3);
+    const Conjunction& c = constrained.conjunctions[i];
+    const Conjunction& r = reference.conjunctions[i];
+    EXPECT_EQ(c.sat_a, r.sat_a) << i;
+    EXPECT_EQ(c.sat_b, r.sat_b) << i;
+    EXPECT_EQ(c.tca, r.tca) << i;  // bit-identical, not within a tolerance
+    EXPECT_EQ(c.pca, r.pca) << i;
   }
-  EXPECT_EQ(tiny.memory_used(), 0u);  // everything released
 }
 
-TEST(PipelineEdges, DeviceTooSmallThrows) {
-  const auto sats = small_shell(2000, 3);
-  DeviceProperties props;
-  props.memory_bytes = 64 << 10;  // 64 KiB device
-  Device tiny(props);
+/// Exact equality of two reports' conjunctions (zero ULPs of slack).
+void expect_same_conjunctions(const ScreeningReport& actual,
+                              const ScreeningReport& expected) {
+  ASSERT_EQ(actual.conjunctions.size(), expected.conjunctions.size());
+  for (std::size_t i = 0; i < expected.conjunctions.size(); ++i) {
+    const Conjunction& c = actual.conjunctions[i];
+    const Conjunction& r = expected.conjunctions[i];
+    EXPECT_EQ(c.sat_a, r.sat_a) << i;
+    EXPECT_EQ(c.sat_b, r.sat_b) << i;
+    EXPECT_EQ(c.tca, r.tca) << i;
+    EXPECT_EQ(c.pca, r.pca) << i;
+  }
+}
+
+TEST(PipelineEdges, HybridHostBudgetSizesThePlan) {
+  // The hybrid variant shares the grid front-end: a small budget splits
+  // its span into rounds too, and the filtered report does not change.
+  const auto sats = small_shell(200, 4);
+  ScreeningConfig roomy;
+  roomy.threshold_km = 5.0;
+  roomy.t_end = 3600.0;
+  const auto screener = make_screener(Variant::kHybrid);
+  const auto reference = screener->screen(sats, roomy);
+  ASSERT_EQ(reference.stats.rounds, 1u);
+  ASSERT_GT(reference.conjunctions.size(), 0u);
+
+  ScreeningConfig tight = roomy;
+  tight.memory_budget = 2 << 20;  // 2 MiB
+  const auto constrained = screener->screen(sats, tight);
+
+  EXPECT_GT(constrained.stats.rounds, 1u);
+  EXPECT_EQ(constrained.stats.candidates, reference.stats.candidates);
+  EXPECT_EQ(constrained.stats.pairs_examined, reference.stats.pairs_examined);
+  expect_same_conjunctions(constrained, reference);
+}
+
+TEST(PipelineEdges, HostBudgetReducesSamplingPeriod) {
+  // Fig. 10c: when the Eq. 3 candidate reservation alone busts the memory
+  // budget, the pipeline halves s_ps until it fits. An inflated count model
+  // makes the reservation dominate; the budget leaves room for it at 4 s
+  // but not at 8 s, so an 8 s request must run at 4 s.
+  const auto sats = small_shell(200, 6);
   ScreeningConfig cfg;
-  cfg.t_end = 600.0;
-  cfg.device = &tiny;
-  EXPECT_THROW(screen(sats, cfg, Variant::kGrid), std::runtime_error);
+  cfg.t_end = 1800.0;
+  cfg.seconds_per_sample = 8.0;
+
+  GridPipelineOptions options = GridScreener::default_options();
+  options.count_model.coefficient = 2.5e-4;
+  auto plan_at = [&](double sps) {
+    SizingRequest request;
+    request.satellites = sats.size();
+    request.span_seconds = cfg.span_seconds();
+    request.seconds_per_sample = sps;
+    request.candidate_capacity = candidate_capacity_from_model(
+        options.count_model, static_cast<double>(sats.size()), sps,
+        cfg.span_seconds(), cfg.threshold_km);
+    request.memory_budget = ~std::uint64_t{0};
+    return plan_samples(request);
+  };
+  const SizingPlan at4 = plan_at(4.0);
+  const SizingPlan at8 = plan_at(8.0);
+  cfg.memory_budget = at4.fixed_bytes + 4 * at4.per_grid_bytes;
+  ASSERT_GT(at8.fixed_bytes + at8.per_grid_bytes, cfg.memory_budget);
+
+  const ScreeningReport reduced = GridScreener(options).screen(sats, cfg);
+  EXPECT_EQ(reduced.stats.seconds_per_sample, 4.0);
+  EXPECT_EQ(reduced.stats.parallel_samples, 4u);
+  EXPECT_GT(reduced.stats.rounds, 1u);
+
+  // Same screen as asking for 4 s with room to spare.
+  ScreeningConfig at_4s = cfg;
+  at_4s.seconds_per_sample = 4.0;
+  at_4s.memory_budget = ScreeningConfig{}.memory_budget;
+  const ScreeningReport direct = GridScreener().screen(sats, at_4s);
+  EXPECT_EQ(direct.stats.rounds, 1u);
+  EXPECT_EQ(reduced.stats.cell_size_km, direct.stats.cell_size_km);
+  EXPECT_EQ(reduced.stats.candidates, direct.stats.candidates);
+  expect_same_conjunctions(reduced, direct);
 }
 
 TEST(PipelineEdges, HeoApogeesBeyondCubeAreClampedSafely) {
@@ -90,7 +163,7 @@ TEST(PipelineEdges, HeoApogeesBeyondCubeAreClampedSafely) {
 
   ScreeningConfig cfg;
   cfg.t_end = 20000.0;
-  const auto report = screen(sats, cfg, Variant::kGrid);
+  const auto report = make_screener(Variant::kGrid)->screen(sats, cfg);
 
   // Oracle check: no pair actually approaches within the threshold.
   const ContourKeplerSolver solver;
@@ -112,7 +185,7 @@ TEST(PipelineEdges, EncounterAtSpanStartIsReported) {
 
   ScreeningConfig cfg;
   cfg.t_end = 1200.0;
-  const auto report = screen(sats, cfg, Variant::kGrid);
+  const auto report = make_screener(Variant::kGrid)->screen(sats, cfg);
   bool found = false;
   for (const Conjunction& c : report.conjunctions) {
     if (c.tca < 10.0 && c.pca < 2.0) found = true;

@@ -5,8 +5,10 @@
 #include <set>
 #include <vector>
 
+#include "core/grid_pipeline.hpp"
+#include "core/grid_screener.hpp"
 #include "core/partitioned.hpp"
-#include "core/screen.hpp"
+#include "core/screener.hpp"
 #include "filters/dense_scan.hpp"
 #include "orbit/geometry.hpp"
 #include "population/generator.hpp"
@@ -160,27 +162,29 @@ TEST_F(ScreenerAccuracy, OracleHasConjunctions) {
 }
 
 TEST_F(ScreenerAccuracy, GridMatchesOracle) {
-  const ScreeningReport report = screen(*sats_, config(), Variant::kGrid);
+  const ScreeningReport report = make_screener(Variant::kGrid)->screen(*sats_, config());
   expect_matches_oracle(report, "grid");
   EXPECT_GT(report.stats.candidates, 0u);
   EXPECT_GT(report.stats.total_samples, 0u);
 }
 
 TEST_F(ScreenerAccuracy, HybridMatchesOracle) {
-  const ScreeningReport report = screen(*sats_, config(), Variant::kHybrid);
+  const ScreeningReport report =
+      make_screener(Variant::kHybrid)->screen(*sats_, config());
   expect_matches_oracle(report, "hybrid");
   EXPECT_GT(report.stats.pairs_examined, 0u);
 }
 
 TEST_F(ScreenerAccuracy, LegacyMatchesOracle) {
-  const ScreeningReport report = screen(*sats_, config(), Variant::kLegacy);
+  const ScreeningReport report =
+      make_screener(Variant::kLegacy)->screen(*sats_, config());
   expect_matches_oracle(report, "legacy");
   const std::size_t n = sats_->size();
   EXPECT_EQ(report.stats.pairs_examined, n * (n - 1) / 2);
 }
 
 TEST_F(ScreenerAccuracy, SieveMatchesOracle) {
-  const ScreeningReport report = screen(*sats_, config(), Variant::kSieve);
+  const ScreeningReport report = make_screener(Variant::kSieve)->screen(*sats_, config());
   expect_matches_oracle(report, "sieve");
   const std::size_t n = sats_->size();
   EXPECT_EQ(report.stats.pairs_examined, n * (n - 1) / 2);
@@ -191,9 +195,9 @@ TEST_F(ScreenerAccuracy, SieveMatchesOracle) {
 }
 
 TEST_F(ScreenerAccuracy, VariantsAgreeOnCollidingPairs) {
-  const auto grid = screen(*sats_, config(), Variant::kGrid);
-  const auto hybrid = screen(*sats_, config(), Variant::kHybrid);
-  const auto legacy = screen(*sats_, config(), Variant::kLegacy);
+  const auto grid = make_screener(Variant::kGrid)->screen(*sats_, config());
+  const auto hybrid = make_screener(Variant::kHybrid)->screen(*sats_, config());
+  const auto legacy = make_screener(Variant::kLegacy)->screen(*sats_, config());
 
   // The paper's Section V-D comparison: the colliding-pair sets agree up
   // to rare edge cases (there: 5 missed / 35 extra out of ~17k). At this
@@ -215,9 +219,9 @@ TEST_F(ScreenerAccuracy, GridDeterministicAcrossRunsAndThreads) {
   ScreeningConfig cfg4 = config();
   cfg4.pool = &four;
 
-  const auto r1 = screen(*sats_, cfg1, Variant::kGrid);
-  const auto r4 = screen(*sats_, cfg4, Variant::kGrid);
-  const auto r4b = screen(*sats_, cfg4, Variant::kGrid);
+  const auto r1 = make_screener(Variant::kGrid)->screen(*sats_, cfg1);
+  const auto r4 = make_screener(Variant::kGrid)->screen(*sats_, cfg4);
+  const auto r4b = make_screener(Variant::kGrid)->screen(*sats_, cfg4);
 
   ASSERT_EQ(r1.conjunctions.size(), r4.conjunctions.size());
   ASSERT_EQ(r4.conjunctions.size(), r4b.conjunctions.size());
@@ -229,33 +233,39 @@ TEST_F(ScreenerAccuracy, GridDeterministicAcrossRunsAndThreads) {
   }
 }
 
-TEST_F(ScreenerAccuracy, DeviceBackendMatchesCpu) {
-  Device device;  // default 4 GiB devicesim
-  ScreeningConfig dev_cfg = config();
-  dev_cfg.device = &device;
+TEST_F(ScreenerAccuracy, EveryVariantRunsOnTheConfiguredPool) {
+  // Every variant takes its workers from config.pool (pool_of); the thread
+  // count must not change the report.
+  ThreadPool one(1), four(4);
+  ScreeningConfig cfg1 = config();
+  cfg1.pool = &one;
+  ScreeningConfig cfg4 = config();
+  cfg4.pool = &four;
 
-  const auto cpu = screen(*sats_, config(), Variant::kGrid);
-  const auto dev = screen(*sats_, dev_cfg, Variant::kGrid);
-
-  ASSERT_EQ(cpu.conjunctions.size(), dev.conjunctions.size());
-  for (std::size_t i = 0; i < cpu.conjunctions.size(); ++i) {
-    EXPECT_EQ(cpu.conjunctions[i].sat_a, dev.conjunctions[i].sat_a);
-    EXPECT_NEAR(cpu.conjunctions[i].tca, dev.conjunctions[i].tca, 1e-3);
+  for (const Variant v : {Variant::kHybrid, Variant::kLegacy, Variant::kSieve}) {
+    SCOPED_TRACE(variant_name(v));
+    const auto r1 = make_screener(v)->screen(*sats_, cfg1);
+    const auto r4 = make_screener(v)->screen(*sats_, cfg4);
+    EXPECT_FALSE(r1.conjunctions.empty());
+    ASSERT_EQ(r1.conjunctions.size(), r4.conjunctions.size());
+    for (std::size_t i = 0; i < r1.conjunctions.size(); ++i) {
+      EXPECT_EQ(r1.conjunctions[i].sat_a, r4.conjunctions[i].sat_a);
+      EXPECT_EQ(r1.conjunctions[i].sat_b, r4.conjunctions[i].sat_b);
+      EXPECT_NEAR(r1.conjunctions[i].tca, r4.conjunctions[i].tca, 1e-3);
+      EXPECT_NEAR(r1.conjunctions[i].pca, r4.conjunctions[i].pca, 1e-6);
+    }
+    EXPECT_EQ(r1.stats.pairs_examined, r4.stats.pairs_examined);
   }
-  // The device actually did the work and the accounting shows it.
-  EXPECT_GT(device.stats().kernels_launched, 0u);
-  EXPECT_GT(device.stats().h2d_bytes, 0u);
-  EXPECT_EQ(device.memory_used(), 0u);  // everything released after the run
 }
 
 TEST_F(ScreenerAccuracy, MultiRoundExecutionMatchesSingleRound) {
   // Shrink the budget so the span no longer fits in one round; the rounds
   // machinery must not change the result.
-  const auto roomy = screen(*sats_, config(), Variant::kGrid);
+  const auto roomy = make_screener(Variant::kGrid)->screen(*sats_, config());
 
   ScreeningConfig tight = config();
   tight.memory_budget = 2 << 20;  // 2 MiB
-  const auto constrained = screen(*sats_, tight, Variant::kGrid);
+  const auto constrained = make_screener(Variant::kGrid)->screen(*sats_, tight);
   EXPECT_GT(constrained.stats.rounds, 1u);
 
   ASSERT_EQ(roomy.conjunctions.size(), constrained.conjunctions.size());
@@ -302,7 +312,7 @@ TEST(Screeners, HeadOnRetrogradeEncounterHasPredictableTca) {
 
   for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
                     Variant::kSieve}) {
-    const ScreeningReport report = screen(sats, cfg, v);
+    const ScreeningReport report = make_screener(v)->screen(sats, cfg);
     ASSERT_FALSE(report.conjunctions.empty()) << variant_name(v);
     bool found = false;
     for (const Conjunction& c : report.conjunctions) {
@@ -322,7 +332,8 @@ TEST(Screeners, SeparatedOrbitsYieldNoConjunctions) {
   cfg.t_end = 3600.0;
   for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
                     Variant::kSieve}) {
-    EXPECT_TRUE(screen(sats, cfg, v).conjunctions.empty()) << variant_name(v);
+    EXPECT_TRUE(make_screener(v)->screen(sats, cfg).conjunctions.empty())
+        << variant_name(v);
   }
 }
 
@@ -333,8 +344,9 @@ TEST(Screeners, TinyPopulationsHandled) {
   const std::vector<Satellite> one{{0, {7000.0, 1e-4, 0.5, 0.0, 0.0, 0.0}}};
   for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
                     Variant::kSieve}) {
-    EXPECT_TRUE(screen(empty, cfg, v).conjunctions.empty()) << variant_name(v);
-    EXPECT_TRUE(screen(one, cfg, v).conjunctions.empty()) << variant_name(v);
+    const auto screener = make_screener(v);
+    EXPECT_TRUE(screener->screen(empty, cfg).conjunctions.empty()) << variant_name(v);
+    EXPECT_TRUE(screener->screen(one, cfg).conjunctions.empty()) << variant_name(v);
   }
 }
 
@@ -343,16 +355,8 @@ TEST(Screeners, InvalidSpanRejected) {
   ScreeningConfig cfg;
   cfg.t_begin = 100.0;
   cfg.t_end = 100.0;
-  EXPECT_THROW(screen(sats, cfg, Variant::kGrid), std::invalid_argument);
-  EXPECT_THROW(screen(sats, cfg, Variant::kHybrid), std::invalid_argument);
-}
-
-TEST(Screeners, LegacyHasNoDeviceBackend) {
-  Device device;
-  ScreeningConfig cfg;
-  cfg.device = &device;
-  std::vector<Satellite> sats = dense_shell(4, 2);
-  EXPECT_THROW(screen(sats, cfg, Variant::kLegacy), std::invalid_argument);
+  EXPECT_THROW(make_screener(Variant::kGrid)->screen(sats, cfg), std::invalid_argument);
+  EXPECT_THROW(make_screener(Variant::kHybrid)->screen(sats, cfg), std::invalid_argument);
 }
 
 TEST(Screeners, SecondsPerSampleOverrideIsHonored) {
@@ -360,7 +364,7 @@ TEST(Screeners, SecondsPerSampleOverrideIsHonored) {
   ScreeningConfig cfg;
   cfg.t_end = 1200.0;
   cfg.seconds_per_sample = 2.0;
-  const auto report = screen(sats, cfg, Variant::kGrid);
+  const auto report = make_screener(Variant::kGrid)->screen(sats, cfg);
   EXPECT_DOUBLE_EQ(report.stats.seconds_per_sample, 2.0);
   EXPECT_DOUBLE_EQ(report.stats.cell_size_km,
                    cfg.threshold_km + kLeoSpeed * 2.0);
@@ -419,7 +423,7 @@ TEST_P(GridOracleSweep, GridMatchesOracleAcrossSeeds) {
   cfg.threshold_km = 5.0;
   cfg.t_end = 4000.0;
   const auto truth = oracle(sats, cfg.t_begin, cfg.t_end, cfg.threshold_km * 1.2);
-  const ScreeningReport report = screen(sats, cfg, Variant::kGrid);
+  const ScreeningReport report = make_screener(Variant::kGrid)->screen(sats, cfg);
 
   for (const OracleConjunction& c : truth) {
     if (c.pca > 0.9 * cfg.threshold_km) continue;
@@ -443,7 +447,7 @@ TEST(Screeners, PartitionedScreeningMatchesDirect) {
   cfg.threshold_km = 5.0;
   cfg.t_end = 6000.0;
 
-  const ScreeningReport direct = screen(sats, cfg, Variant::kGrid);
+  const ScreeningReport direct = make_screener(Variant::kGrid)->screen(sats, cfg);
   for (std::size_t partitions : {1u, 2u, 3u, 5u}) {
     const ScreeningReport split =
         partitioned_screen(sats, cfg, Variant::kGrid, partitions);
@@ -460,10 +464,32 @@ TEST(Screeners, PartitionedScreeningMatchesDirect) {
                std::invalid_argument);
 }
 
+/// Forwards every call to another propagator while hiding its concrete
+/// type, so the grid pipeline propagates through one position() call per
+/// (sample, satellite) tuple instead of the batched SoA kernel, and the
+/// refinement takes the virtual path.
+class ForwardingPropagator final : public Propagator {
+ public:
+  explicit ForwardingPropagator(const Propagator& inner) : inner_(inner) {}
+  std::size_t size() const override { return inner_.size(); }
+  Vec3 position(std::size_t index, double time) const override {
+    return inner_.position(index, time);
+  }
+  StateVector state(std::size_t index, double time) const override {
+    return inner_.state(index, time);
+  }
+  const KeplerElements& elements(std::size_t index) const override {
+    return inner_.elements(index);
+  }
+
+ private:
+  const Propagator& inner_;
+};
+
 TEST(Screeners, BatchedInsertionKernelMatchesScalarExactly) {
-  // The SoA insertion kernel is documented as bit-identical to the
-  // per-tuple scalar path, so toggling it must not move a single
-  // conjunction: same pairs, same TCAs, same PCAs, to the last bit.
+  // The SoA insertion kernel is bit-identical to the per-tuple scalar
+  // path, so hiding the TwoBodyPropagator behind a forwarding propagator
+  // must not move a single candidate or conjunction.
   auto sats = dense_shell(60, 0xBA7C);
   Rng rng(0x5EED);
   sats.push_back(testutil::make_interceptor(sats[5].elements, 1800.0, 1.5, rng,
@@ -472,24 +498,81 @@ TEST(Screeners, BatchedInsertionKernelMatchesScalarExactly) {
   cfg.threshold_km = 5.0;
   cfg.t_end = 6000.0;
 
-  const GridScreener batched;  // batch_propagation defaults to true
-  GridPipelineOptions scalar_options = GridScreener::default_options();
-  scalar_options.batch_propagation = false;
-  const GridScreener scalar(scalar_options);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator two_body(sats, solver);
+  const ForwardingPropagator forwarding(two_body);
 
-  const ScreeningReport batch_report = batched.screen(sats, cfg);
-  const ScreeningReport scalar_report = scalar.screen(sats, cfg);
+  const GridPipelineOptions options = GridScreener::default_options();
+  const GridPipelineResult batch_pipeline = run_grid_pipeline(two_body, cfg, options);
+  const GridPipelineResult scalar_pipeline = run_grid_pipeline(forwarding, cfg, options);
+  EXPECT_GT(batch_pipeline.candidates.size(), 0u);
+  EXPECT_EQ(batch_pipeline.candidates, scalar_pipeline.candidates);
+
+  const GridScreener screener;
+  const ScreeningReport batch_report = screener.screen(two_body, cfg);
+  const ScreeningReport scalar_report = screener.screen(forwarding, cfg);
 
   EXPECT_GT(batch_report.conjunctions.size(), 0u);
   ASSERT_EQ(batch_report.conjunctions.size(), scalar_report.conjunctions.size());
   for (std::size_t i = 0; i < batch_report.conjunctions.size(); ++i) {
     EXPECT_EQ(batch_report.conjunctions[i].sat_a, scalar_report.conjunctions[i].sat_a);
     EXPECT_EQ(batch_report.conjunctions[i].sat_b, scalar_report.conjunctions[i].sat_b);
-    EXPECT_DOUBLE_EQ(batch_report.conjunctions[i].tca,
-                     scalar_report.conjunctions[i].tca);
-    EXPECT_DOUBLE_EQ(batch_report.conjunctions[i].pca,
-                     scalar_report.conjunctions[i].pca);
+    // EXPECT_EQ, not EXPECT_DOUBLE_EQ: zero ULPs of slack.
+    EXPECT_EQ(batch_report.conjunctions[i].tca, scalar_report.conjunctions[i].tca);
+    EXPECT_EQ(batch_report.conjunctions[i].pca, scalar_report.conjunctions[i].pca);
   }
+  EXPECT_EQ(batch_report.stats.candidates, scalar_report.stats.candidates);
+  EXPECT_EQ(batch_report.stats.rounds, scalar_report.stats.rounds);
+  EXPECT_EQ(batch_report.stats.seconds_per_sample,
+            scalar_report.stats.seconds_per_sample);
+}
+
+/// The hybrid and sieve screeners refine through a devirtualized pair
+/// evaluator when the propagator is a TwoBodyPropagator, and through the
+/// virtual Propagator calls otherwise. Both must give the same report to
+/// the last bit.
+class RefinementPathEquivalence : public testing::TestWithParam<Variant> {};
+
+TEST_P(RefinementPathEquivalence, ForwardedPropagatorGivesBitIdenticalReport) {
+  auto sats = dense_shell(60, 0x0DE7);
+  Rng rng(0xF00D);
+  sats.push_back(testutil::make_interceptor(sats[9].elements, 2400.0, 1.0, rng,
+                                            static_cast<std::uint32_t>(sats.size())));
+  ScreeningConfig cfg;
+  cfg.threshold_km = 5.0;
+  cfg.t_end = 6000.0;
+
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator two_body(sats, solver);
+  const ForwardingPropagator forwarding(two_body);
+  const auto screener = make_screener(GetParam());
+  const ScreeningReport fast = screener->screen(two_body, cfg);
+  const ScreeningReport virtual_path = screener->screen(forwarding, cfg);
+
+  EXPECT_GT(fast.conjunctions.size(), 0u);
+  ASSERT_EQ(fast.conjunctions.size(), virtual_path.conjunctions.size());
+  for (std::size_t i = 0; i < fast.conjunctions.size(); ++i) {
+    EXPECT_EQ(fast.conjunctions[i].sat_a, virtual_path.conjunctions[i].sat_a);
+    EXPECT_EQ(fast.conjunctions[i].sat_b, virtual_path.conjunctions[i].sat_b);
+    EXPECT_EQ(fast.conjunctions[i].tca, virtual_path.conjunctions[i].tca);
+    EXPECT_EQ(fast.conjunctions[i].pca, virtual_path.conjunctions[i].pca);
+  }
+  EXPECT_EQ(fast.stats.candidates, virtual_path.stats.candidates);
+  EXPECT_EQ(fast.stats.refinements, virtual_path.stats.refinements);
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, RefinementPathEquivalence,
+                         testing::Values(Variant::kHybrid, Variant::kSieve),
+                         [](const testing::TestParamInfo<Variant>& param_info) {
+                           return variant_name(param_info.param);
+                         });
+
+TEST(Screeners, PoolOfFallsBackToTheGlobalPool) {
+  ScreeningConfig cfg;
+  EXPECT_EQ(&pool_of(cfg), &global_thread_pool());
+  ThreadPool own(2);
+  cfg.pool = &own;
+  EXPECT_EQ(&pool_of(cfg), &own);
 }
 
 TEST(Screeners, StreamingModeMatchesBatchMode) {
@@ -564,16 +647,16 @@ TEST(Screeners, PhaseTimingsArePopulated) {
   ScreeningConfig cfg;
   cfg.t_end = 1800.0;
 
-  const auto grid = screen(sats, cfg, Variant::kGrid);
+  const auto grid = make_screener(Variant::kGrid)->screen(sats, cfg);
   EXPECT_GT(grid.timings.insertion, 0.0);
   EXPECT_GT(grid.timings.detection, 0.0);
   EXPECT_DOUBLE_EQ(grid.timings.filtering, 0.0);  // grid variant: no filters
 
-  const auto hybrid = screen(sats, cfg, Variant::kHybrid);
+  const auto hybrid = make_screener(Variant::kHybrid)->screen(sats, cfg);
   EXPECT_GT(hybrid.timings.insertion, 0.0);
   EXPECT_GE(hybrid.timings.filtering, 0.0);
 
-  const auto legacy = screen(sats, cfg, Variant::kLegacy);
+  const auto legacy = make_screener(Variant::kLegacy)->screen(sats, cfg);
   EXPECT_GT(legacy.timings.filtering, 0.0);
 }
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/report.hpp"
-#include "core/screen.hpp"
+#include "core/screener.hpp"
 #include "obs/telemetry.hpp"
 #include "population/generator.hpp"
 #include "service/screening_service.hpp"
@@ -56,7 +56,7 @@ class Telemetry : public testing::Test {
 TEST_F(Telemetry, RuntimeDisabledCountsNothing) {
   obs::set_enabled(false);
   const auto sats = generate_population({300, 7});
-  screen(sats, config(10.0, 1800.0, 8.0), Variant::kGrid);
+  make_screener(Variant::kGrid)->screen(sats, config(10.0, 1800.0, 8.0));
   const obs::TelemetrySnapshot snap = obs::snapshot();
   for (std::size_t i = 0; i < obs::kCounterCount; ++i) {
     EXPECT_EQ(snap.counters[i], 0u)
@@ -68,7 +68,7 @@ TEST_F(Telemetry, RuntimeDisabledCountsNothing) {
 
 TEST_F(Telemetry, ResetZeroesEverything) {
   const auto sats = generate_population({300, 7});
-  screen(sats, config(10.0, 1800.0, 8.0), Variant::kGrid);
+  make_screener(Variant::kGrid)->screen(sats, config(10.0, 1800.0, 8.0));
   ASSERT_GT(obs::snapshot().value(Counter::kGridInserts), 0u);
   obs::reset();
   const obs::TelemetrySnapshot snap = obs::snapshot();
@@ -85,7 +85,7 @@ TEST_F(Telemetry, ResetZeroesEverything) {
 TEST_F(Telemetry, GridFunnelConservation) {
   const auto sats = generate_population({400, 11});
   const ScreeningReport report =
-      screen(sats, config(10.0, 1800.0, 8.0), Variant::kGrid);
+      make_screener(Variant::kGrid)->screen(sats, config(10.0, 1800.0, 8.0));
   const obs::TelemetrySnapshot snap = obs::snapshot();
 
   const std::uint64_t tested = snap.value(Counter::kPairsTested);
@@ -130,7 +130,7 @@ TEST_F(Telemetry, GridFunnelConservation) {
 // slot table, so scanned-slot occupancy stays at or below ~one half.
 TEST_F(Telemetry, GridOccupancyMatchesEq1Sizing) {
   const auto sats = generate_population({600, 3});
-  screen(sats, config(10.0, 1800.0, 8.0), Variant::kGrid);
+  make_screener(Variant::kGrid)->screen(sats, config(10.0, 1800.0, 8.0));
   const obs::TelemetrySnapshot snap = obs::snapshot();
   ASSERT_GT(snap.value(Counter::kCellsScanned), 0u);
   EXPECT_GT(snap.occupancy(), 0.0);
@@ -143,7 +143,7 @@ TEST_F(Telemetry, GridOccupancyMatchesEq1Sizing) {
 TEST_F(Telemetry, HybridFilterConservation) {
   const auto sats = generate_population({400, 11});
   const ScreeningReport report =
-      screen(sats, config(10.0, 1800.0, 16.0), Variant::kHybrid);
+      make_screener(Variant::kHybrid)->screen(sats, config(10.0, 1800.0, 16.0));
   const obs::TelemetrySnapshot snap = obs::snapshot();
 
   const std::uint64_t in = snap.value(Counter::kFilterPairsIn);
@@ -179,7 +179,7 @@ TEST_F(Telemetry, HybridFilterConservation) {
 TEST_F(Telemetry, HybridDetectionEmitsEachPairOnce) {
   const auto sats = generate_population({400, 11});
   const ScreeningReport report =
-      screen(sats, config(10.0, 1800.0, 16.0), Variant::kHybrid);
+      make_screener(Variant::kHybrid)->screen(sats, config(10.0, 1800.0, 16.0));
   const obs::TelemetrySnapshot snap = obs::snapshot();
 
   const std::uint64_t tested = snap.value(Counter::kPairsTested);
@@ -199,7 +199,7 @@ TEST_F(Telemetry, HybridDetectionEmitsEachPairOnce) {
 TEST_F(Telemetry, LegacyFilterConservation) {
   const auto sats = generate_population({200, 5});
   const ScreeningReport report =
-      screen(sats, config(10.0, 1800.0, 16.0), Variant::kLegacy);
+      make_screener(Variant::kLegacy)->screen(sats, config(10.0, 1800.0, 16.0));
   const obs::TelemetrySnapshot snap = obs::snapshot();
 
   const std::uint64_t in = snap.value(Counter::kFilterPairsIn);
@@ -224,7 +224,7 @@ TEST_F(Telemetry, LegacyFilterConservation) {
 TEST_F(Telemetry, SieveFunnelConservation) {
   const auto sats = generate_population({300, 13});
   const ScreeningReport report =
-      screen(sats, config(10.0, 1800.0, 8.0), Variant::kSieve);
+      make_screener(Variant::kSieve)->screen(sats, config(10.0, 1800.0, 8.0));
   const obs::TelemetrySnapshot snap = obs::snapshot();
 
   const std::uint64_t in = snap.value(Counter::kFilterPairsIn);
@@ -247,12 +247,12 @@ TEST_F(Telemetry, GridAndHybridAgreeWithDifferentFunnels) {
   constexpr double kThreshold = 10.0;
   const auto sats = generate_population({400, 17});
   const ScreeningReport grid_report =
-      screen(sats, config(kThreshold, 1800.0, 4.0), Variant::kGrid);
+      make_screener(Variant::kGrid)->screen(sats, config(kThreshold, 1800.0, 4.0));
   const obs::TelemetrySnapshot grid_snap = obs::snapshot();
 
   obs::reset();
   const ScreeningReport hybrid_report =
-      screen(sats, config(kThreshold, 1800.0, 16.0), Variant::kHybrid);
+      make_screener(Variant::kHybrid)->screen(sats, config(kThreshold, 1800.0, 16.0));
   const obs::TelemetrySnapshot hybrid_snap = obs::snapshot();
 
   const auto confident = [&](const std::vector<Conjunction>& all) {
@@ -331,7 +331,7 @@ TEST_F(Telemetry, CorpusReplayExactCounters) {
   ASSERT_GT(fuzz_case.size(), 0u);
 
   const ScreeningReport report =
-      screen(fuzz_case.satellites, fuzz_case.config, Variant::kGrid);
+      make_screener(Variant::kGrid)->screen(fuzz_case.satellites, fuzz_case.config);
   const obs::TelemetrySnapshot once = obs::snapshot();
 
   EXPECT_EQ(once.value(Counter::kCandidatesEmitted), report.stats.candidates);
@@ -346,8 +346,8 @@ TEST_F(Telemetry, CorpusReplayExactCounters) {
   EXPECT_EQ(histogram_total(once), once.value(Counter::kGridInserts));
 
   obs::reset();
-  screen(fuzz_case.satellites, fuzz_case.config, Variant::kGrid);
-  screen(fuzz_case.satellites, fuzz_case.config, Variant::kGrid);
+  make_screener(Variant::kGrid)->screen(fuzz_case.satellites, fuzz_case.config);
+  make_screener(Variant::kGrid)->screen(fuzz_case.satellites, fuzz_case.config);
   const obs::TelemetrySnapshot twice = obs::snapshot();
   for (const Counter c :
        {Counter::kSamplesPropagated, Counter::kGridInserts,
@@ -363,7 +363,7 @@ TEST_F(Telemetry, CorpusReplayExactCounters) {
 // The JSON snapshot carries every counter by name plus the derived fields.
 TEST_F(Telemetry, SnapshotJsonContainsAllCounters) {
   const auto sats = generate_population({200, 29});
-  screen(sats, config(10.0, 1800.0, 8.0), Variant::kGrid);
+  make_screener(Variant::kGrid)->screen(sats, config(10.0, 1800.0, 8.0));
   const std::string json = obs::snapshot().to_json();
   for (std::size_t i = 0; i < obs::kCounterCount; ++i) {
     const std::string key =

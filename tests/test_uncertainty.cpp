@@ -91,7 +91,7 @@ TEST(UncertaintyScreening, UniformSigmasReduceToPlainScreening) {
       screen_with_uncertainty(sats, cfg, Variant::kGrid, model);
 
   cfg.threshold_km = model.max_threshold();
-  const ScreeningReport plain = screen(sats, cfg, Variant::kGrid);
+  const ScreeningReport plain = make_screener(Variant::kGrid)->screen(sats, cfg);
 
   // With uniform sigmas every pair threshold equals the max threshold, so
   // the filter removes nothing.

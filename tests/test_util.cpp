@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/constants.hpp"
@@ -155,6 +157,43 @@ TEST(CliArgs, ParsesIntegerLists) {
   CliArgs args(3, argv, {"sizes"});
   EXPECT_EQ(args.get_int_list("sizes", {}), (std::vector<std::int64_t>{1000, 2000, 4000}));
   EXPECT_EQ(args.get_int_list("other", {5}), (std::vector<std::int64_t>{5}));
+}
+
+/// The message of the std::invalid_argument `fn` throws, or "" if none.
+template <typename Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliArgs, NumericErrorsNameTheOption) {
+  const char* argv[] = {"prog", "--count", "abc", "--ratio", "x1", "--sizes", "1,b"};
+  CliArgs args(7, argv, {"count", "ratio", "sizes"});
+  const std::string count = invalid_argument_message([&] { args.get_int("count", 0); });
+  EXPECT_NE(count.find("--count"), std::string::npos) << count;
+  EXPECT_NE(count.find("'abc'"), std::string::npos) << count;
+  const std::string ratio =
+      invalid_argument_message([&] { args.get_double("ratio", 0.0); });
+  EXPECT_NE(ratio.find("--ratio"), std::string::npos) << ratio;
+  const std::string sizes =
+      invalid_argument_message([&] { args.get_int_list("sizes", {}); });
+  EXPECT_NE(sizes.find("--sizes"), std::string::npos) << sizes;
+  EXPECT_NE(sizes.find("'b'"), std::string::npos) << sizes;
+}
+
+TEST(CliArgs, NumericValuesMustBeConsumedWhole) {
+  const char* argv[] = {"prog", "--count", "12x", "--ratio", "2.5km", "--big",
+                        "99999999999999999999", "--neg", "-3", "--exp", "1e3"};
+  CliArgs args(11, argv, {"count", "ratio", "big", "neg", "exp"});
+  EXPECT_THROW(args.get_int("count", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("ratio", 0.0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("big", 0), std::invalid_argument);  // out of range
+  EXPECT_EQ(args.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("exp", 0.0), 1000.0);
 }
 
 TEST(TextTable, AlignsColumns) {

@@ -11,17 +11,20 @@
 /// Catalog format is chosen by extension: .csv (catalog_io) or .tle.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "assessment/cdm.hpp"
-#include "core/screen.hpp"
+#include "core/grid_screener.hpp"
+#include "core/screener.hpp"
 #include "obs/telemetry.hpp"
 #include "population/catalog_io.hpp"
 #include "population/generator.hpp"
@@ -60,6 +63,15 @@ int usage() {
   return 2;
 }
 
+/// A typo'd option must not fall back to a default: names the first
+/// unknown option or stray argument and returns true when there is one.
+bool reject_unknown(const char* command, const CliArgs& args) {
+  if (args.unknown().empty()) return false;
+  std::fprintf(stderr, "%s: unknown option: %s\n", command,
+               args.unknown().front().c_str());
+  return true;
+}
+
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -84,6 +96,7 @@ std::vector<Satellite> load_catalog(const std::string& path) {
 
 int cmd_generate(int argc, const char* const* argv) {
   const CliArgs args(argc, argv, {"count", "seed", "out"});
+  if (reject_unknown("generate", args)) return 2;
   const auto count = static_cast<std::size_t>(args.get_int("count", 1000));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const std::string out = args.get_string("out", "");
@@ -121,6 +134,7 @@ int cmd_generate(int argc, const char* const* argv) {
 int cmd_screen(int argc, const char* const* argv) {
   const CliArgs args(argc, argv, {"catalog", "variant", "threshold", "span", "sps",
                                   "propagator", "csv", "telemetry"});
+  if (reject_unknown("screen", args)) return 2;
   const std::string catalog_path = args.get_string("catalog", "");
   if (catalog_path.empty()) {
     std::fprintf(stderr, "screen: --catalog is required\n");
@@ -137,12 +151,22 @@ int cmd_screen(int argc, const char* const* argv) {
     obs::reset();
     obs::set_enabled(true);
   }
-  const auto sats = load_catalog(catalog_path);
 
   ScreeningConfig config;
   config.threshold_km = args.get_double("threshold", 2.0);
   config.t_end = args.get_double("span", 7200.0);
   config.seconds_per_sample = args.get_double("sps", 0.0);
+  if (!(std::isfinite(config.threshold_km) && config.threshold_km > 0.0)) {
+    std::fprintf(stderr, "screen: --threshold must be a positive number of km\n");
+    return 2;
+  }
+  if (!(std::isfinite(config.seconds_per_sample) && config.seconds_per_sample >= 0.0)) {
+    std::fprintf(stderr,
+                 "screen: --sps must be a positive number of seconds "
+                 "(0 picks the variant's default)\n");
+    return 2;
+  }
+  const auto sats = load_catalog(catalog_path);
 
   const std::string variant_str = args.get_string("variant", "grid");
   const std::string prop_str = args.get_string("propagator", "kepler");
@@ -216,6 +240,7 @@ int cmd_screen(int argc, const char* const* argv) {
 int cmd_assess(int argc, const char* const* argv) {
   const CliArgs args(argc, argv,
                      {"catalog", "threshold", "span", "sigma", "radius", "top"});
+  if (reject_unknown("assess", args)) return 2;
   const std::string catalog_path = args.get_string("catalog", "");
   if (catalog_path.empty()) {
     std::fprintf(stderr, "assess: --catalog is required\n");
@@ -256,6 +281,7 @@ int cmd_assess(int argc, const char* const* argv) {
 
 int cmd_cube(int argc, const char* const* argv) {
   const CliArgs args(argc, argv, {"catalog", "span", "cube-size", "samples", "radius"});
+  if (reject_unknown("cube", args)) return 2;
   const std::string catalog_path = args.get_string("catalog", "");
   if (catalog_path.empty()) {
     std::fprintf(stderr, "cube: --catalog is required\n");
@@ -306,6 +332,11 @@ int main(int argc, char** argv) {
     if (command == "assess") return cmd_assess(argc - 1, argv + 1);
     if (command == "cube") return cmd_cube(argc - 1, argv + 1);
     if (command == "info") return cmd_info();
+  } catch (const std::invalid_argument& e) {
+    // A malformed option value or a configuration the library rejects
+    // (e.g. an empty span): a usage error, like an unknown option.
+    std::fprintf(stderr, "scod %s: %s\n", command.c_str(), e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "scod %s: %s\n", command.c_str(), e.what());
     return 1;
