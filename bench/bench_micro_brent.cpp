@@ -1,5 +1,5 @@
 /// Micro-benchmarks of the PCA/TCA refinement: the Brent minimizer against
-/// the golden-section fallback, and a full refine_candidate() on a
+/// the golden-section fallback, and a full refine_candidate_fn() on a
 /// realistic two-satellite encounter (the step-4 hot loop).
 
 #include <benchmark/benchmark.h>
@@ -56,7 +56,9 @@ void BM_RefineCandidate(benchmark::State& state) {
   }
 
   for (auto _ : state) {
-    const auto enc = refine_candidate(prop, 0, 1, best_t + 2.0, 20.0, 0.0, 6000.0);
+    const auto enc = refine_candidate_fn(
+        [&prop](double t) { return prop.distance(0, 1, t); }, best_t + 2.0, 20.0, 0.0,
+        6000.0);
     benchmark::DoNotOptimize(enc);
   }
   state.SetItemsProcessed(state.iterations());

@@ -32,10 +32,7 @@ class GridScreener final : public Screener {
 
   Variant variant() const override { return Variant::kGrid; }
 
-  /// Screens a satellite population: builds the Contour-solver two-body
-  /// propagator internally (timed as allocation) and runs the pipeline.
-  ScreeningReport screen(std::span<const Satellite> satellites,
-                         const ScreeningConfig& config) const override;
+  using Screener::screen;
 
   /// Screens with a caller-supplied propagator (e.g. the J2 secular
   /// propagator); the propagator must be thread-safe.

@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 
 #include "core/context.hpp"
+#include "core/refine_step.hpp"
 #include "filters/apogee_perigee.hpp"
 #include "obs/telemetry.hpp"
 #include "filters/coplanarity.hpp"
 #include "filters/orbit_path.hpp"
 #include "filters/time_windows.hpp"
-#include "pca/pair_evaluator.hpp"
-#include "pca/refine.hpp"
-#include "propagation/contour_solver.hpp"
-#include "propagation/two_body.hpp"
 #include "util/stopwatch.hpp"
 
 namespace scod {
@@ -34,18 +30,6 @@ struct PairVerdict {
   std::vector<Interval> windows;
 };
 
-/// One Brent task produced by the filter stage.
-struct RefineTask {
-  std::uint32_t sat_a = 0;
-  std::uint32_t sat_b = 0;
-  double t_lo = 0.0;
-  double t_hi = 0.0;
-  /// Grid-style tasks center on a sample time with a cell-crossing radius
-  /// (coplanar pairs); window tasks refine a filter-built interval.
-  bool grid_style = false;
-  double center = 0.0;
-};
-
 }  // namespace
 
 GridPipelineOptions HybridScreener::default_options() {
@@ -60,18 +44,6 @@ HybridScreener::HybridScreener(GridPipelineOptions options,
     : options_(options),
       context_(context != nullptr ? context : options.context) {
   options_.context = nullptr;  // resolved per call through context_
-}
-
-ScreeningReport HybridScreener::screen(std::span<const Satellite> satellites,
-                                       const ScreeningConfig& config) const {
-  Stopwatch alloc_watch;
-  const ContourKeplerSolver solver;
-  const TwoBodyPropagator propagator(satellites, solver);
-  const double setup = alloc_watch.seconds();
-
-  ScreeningReport report = screen(propagator, config);
-  report.timings.allocation += setup;
-  return report;
 }
 
 ScreeningReport HybridScreener::screen(const Propagator& propagator,
@@ -89,9 +61,6 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
   GridPipelineResult pipeline = run_grid_pipeline(propagator, config, options);
 
   ScreeningReport report;
-  report.timings.allocation = pipeline.allocation_seconds;
-  report.timings.insertion = pipeline.insertion_seconds;
-  report.timings.detection = pipeline.detection_seconds;
 
   // ---- Step 3: orbital filters on the distinct pairs --------------------
   Stopwatch filter_watch;
@@ -166,7 +135,7 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
   // Turn surviving pairs into refinement tasks. Window tasks are emitted
   // once per (pair, window) that is reachable from a candidate sample;
   // coplanar pairs get one grid-style task per candidate step.
-  std::vector<RefineTask> tasks;
+  std::vector<detail::RefineTask> tasks;
   std::size_t coplanar_survivors = 0, window_survivors = 0;
   for (std::size_t pi = 0; pi < pair_ranges.size(); ++pi) {
     const PairVerdict& v = verdicts[pi];
@@ -181,7 +150,7 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
       for (std::size_t k = begin; k < end; ++k) {
         const double t_s =
             pipeline.sample_time(candidates[k].step, config.t_begin, config.t_end);
-        tasks.push_back({sat_a, sat_b, 0.0, 0.0, /*grid_style=*/true, t_s});
+        tasks.push_back({sat_a, sat_b, /*grid_style=*/true, t_s});
       }
       continue;
     }
@@ -208,59 +177,17 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
       // Extend the filter window slightly so a minimum grazing its edge is
       // found inside the search interval rather than discarded.
       const double ext = 0.25 * v.windows[w].length() + 5.0;
-      tasks.push_back({sat_a, sat_b, v.windows[w].lo - ext, v.windows[w].hi + ext,
-                       /*grid_style=*/false, 0.0});
+      tasks.push_back({sat_a, sat_b, /*grid_style=*/false, 0.0, v.windows[w].lo - ext,
+                       v.windows[w].hi + ext});
     }
   }
   report.timings.filtering = filter_watch.seconds();
 
   // ---- Step 4: Brent refinement -----------------------------------------
   Stopwatch refine_watch;
-  std::vector<Conjunction>& slots = lease->arena().conjunction_slots(tasks.size());
-  std::vector<std::uint8_t>& valid = lease->arena().valid_flags(tasks.size());
-
-  // With the concrete TwoBody/Contour pair, each task snapshots both cache
-  // entries once (PairStateEvaluator) so the Brent objective is a direct
-  // call instead of two virtual dispatches per evaluation.
-  const RefineFastPath fast = RefineFastPath::probe(propagator);
-  pool_of(config).parallel_for(tasks.size(), [&](std::size_t i) {
-    const RefineTask& task = tasks[i];
-    std::optional<Encounter> encounter;
-    if (fast.available()) {
-      const PairStateEvaluator eval = fast.pair(task.sat_a, task.sat_b);
-      const auto distance = [&eval](double t) { return eval.distance(t); };
-      if (task.grid_style) {
-        const double radius = grid_search_radius(
-            pipeline.cell_size,
-            std::min(eval.speed_a(task.center), eval.speed_b(task.center)));
-        encounter = refine_candidate_fn(distance, task.center, radius, config.t_begin,
-                                        config.t_end, config.refine);
-      } else {
-        encounter = refine_on_interval_fn(distance, task.t_lo, task.t_hi, config.refine);
-      }
-    } else if (task.grid_style) {
-      const double speed_a = propagator.state(task.sat_a, task.center).velocity.norm();
-      const double speed_b = propagator.state(task.sat_b, task.center).velocity.norm();
-      const double radius =
-          grid_search_radius(pipeline.cell_size, std::min(speed_a, speed_b));
-      encounter = refine_candidate(propagator, task.sat_a, task.sat_b, task.center,
-                                   radius, config.t_begin, config.t_end, config.refine);
-    } else {
-      encounter = refine_on_interval(propagator, task.sat_a, task.sat_b, task.t_lo,
-                                     task.t_hi, config.refine);
-    }
-    if (encounter.has_value() && encounter->pca <= config.threshold_km &&
-        encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
-      slots[i] = {task.sat_a, task.sat_b, encounter->tca, encounter->pca};
-      valid[i] = 1;
-    }
-  });
-
-  std::vector<Conjunction> raw;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (valid[i]) raw.push_back(slots[i]);
-  }
-  obs::count(obs::Counter::kConjunctionsRaw, raw.size());
+  std::vector<Conjunction> raw = detail::refine_tasks(
+      propagator, config, pipeline.cell_size, tasks.size(),
+      [&tasks](std::size_t i) { return tasks[i]; }, lease->arena());
   report.conjunctions =
       merge_conjunctions(std::move(raw), config.effective_merge_tolerance());
   report.timings.refinement = refine_watch.seconds();
@@ -286,21 +213,13 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
     obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
   }
 
-  report.stats.satellites = propagator.size();
-  report.stats.total_samples = pipeline.plan.total_samples;
-  report.stats.parallel_samples = pipeline.plan.parallel_samples;
-  report.stats.rounds = pipeline.plan.rounds;
-  report.stats.seconds_per_sample = pipeline.sample_period;
-  report.stats.cell_size_km = pipeline.cell_size;
-  report.stats.candidates = candidates.size();
+  detail::fill_pipeline_stats(report, propagator, pipeline);
   report.stats.pairs_examined = pair_ranges.size();
   report.stats.filtered_apogee_perigee = rejected_ap.load();
   report.stats.filtered_path = rejected_path.load();
   report.stats.filtered_windows = rejected_windows.load();
   report.stats.coplanar_pairs = coplanar_count.load();
   report.stats.refinements = tasks.size();
-  report.stats.grid_memory_bytes = pipeline.grid_memory_bytes;
-  report.stats.candidate_memory_bytes = pipeline.candidate_memory_bytes;
   return report;
 }
 

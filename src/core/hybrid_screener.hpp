@@ -34,9 +34,7 @@ class HybridScreener final : public Screener {
 
   Variant variant() const override { return Variant::kHybrid; }
 
-  ScreeningReport screen(std::span<const Satellite> satellites,
-                         const ScreeningConfig& config) const override;
-
+  using Screener::screen;
   ScreeningReport screen(const Propagator& propagator,
                          const ScreeningConfig& config) const override;
 

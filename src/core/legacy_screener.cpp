@@ -1,6 +1,6 @@
 #include "core/legacy_screener.hpp"
 
-#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/context.hpp"
@@ -10,9 +10,8 @@
 #include "filters/orbit_path.hpp"
 #include "filters/time_windows.hpp"
 #include "obs/telemetry.hpp"
+#include "pca/pair_evaluator.hpp"
 #include "pca/refine.hpp"
-#include "propagation/contour_solver.hpp"
-#include "propagation/two_body.hpp"
 #include "util/constants.hpp"
 #include "util/stopwatch.hpp"
 
@@ -23,18 +22,6 @@ LegacyScreener::LegacyScreener() : options_(Options{}) {}
 LegacyScreener::LegacyScreener(Options options, ScreeningContext* context)
     : options_(options), context_(context) {}
 
-ScreeningReport LegacyScreener::screen(std::span<const Satellite> satellites,
-                                       const ScreeningConfig& config) const {
-  Stopwatch alloc_watch;
-  const ContourKeplerSolver solver;
-  const TwoBodyPropagator propagator(satellites, solver);
-  const double setup = alloc_watch.seconds();
-
-  ScreeningReport report = screen(propagator, config);
-  report.timings.allocation += setup;
-  return report;
-}
-
 ScreeningReport LegacyScreener::screen(const Propagator& propagator,
                                        const ScreeningConfig& config) const {
   // The single-threaded chain carries no sized scratch; the context is
@@ -44,6 +31,9 @@ ScreeningReport LegacyScreener::screen(const Propagator& propagator,
 
   ScreeningReport report;
   const std::size_t n = propagator.size();
+  if (n >= 2 && !(config.t_begin < config.t_end)) {
+    throw std::invalid_argument("LegacyScreener: empty time span");
+  }
   const double reach = config.threshold_km + config.filter_pad_km;
 
   std::vector<Conjunction> raw;
@@ -53,6 +43,7 @@ ScreeningReport LegacyScreener::screen(const Propagator& propagator,
   DenseScanOptions scan_options;
   scan_options.step = options_.dense_scan_step;
   scan_options.refine = config.refine;
+  const RefineFastPath fast = RefineFastPath::probe(propagator);
 
   std::size_t pairs = 0, rejected_ap = 0, rejected_path = 0, rejected_windows = 0,
               coplanar_count = 0, refinements = 0, window_pass = 0, survivors = 0;
@@ -113,17 +104,19 @@ ScreeningReport LegacyScreener::screen(const Propagator& propagator,
 
       filter_seconds += section.seconds();
       section.restart();
-      for (const Interval& window : windows) {
-        const double ext = 0.25 * window.length() + 5.0;
-        const auto encounter = refine_on_interval(propagator, sat_a, sat_b,
-                                                  window.lo - ext, window.hi + ext,
-                                                  config.refine);
-        ++refinements;
-        if (encounter.has_value() && encounter->pca <= config.threshold_km &&
-            encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
-          raw.push_back({sat_a, sat_b, encounter->tca, encounter->pca});
+      fast.visit_pair(sat_a, sat_b, [&](const auto& eval) {
+        const auto distance = [&eval](double t) { return eval.distance(t); };
+        for (const Interval& window : windows) {
+          const double ext = 0.25 * window.length() + 5.0;
+          const auto encounter = refine_on_interval_fn(distance, window.lo - ext,
+                                                       window.hi + ext, config.refine);
+          ++refinements;
+          if (encounter.has_value() && encounter->pca <= config.threshold_km &&
+              encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
+            raw.push_back({sat_a, sat_b, encounter->tca, encounter->pca});
+          }
         }
-      }
+      });
       refine_seconds += section.seconds();
       section.restart();
     }

@@ -25,9 +25,7 @@ class LegacyScreener final : public Screener {
 
   Variant variant() const override { return Variant::kLegacy; }
 
-  ScreeningReport screen(std::span<const Satellite> satellites,
-                         const ScreeningConfig& config) const override;
-
+  using Screener::screen;
   ScreeningReport screen(const Propagator& propagator,
                          const ScreeningConfig& config) const override;
 

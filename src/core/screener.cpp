@@ -6,6 +6,9 @@
 #include "core/hybrid_screener.hpp"
 #include "core/legacy_screener.hpp"
 #include "core/sieve_screener.hpp"
+#include "propagation/contour_solver.hpp"
+#include "propagation/two_body.hpp"
+#include "util/stopwatch.hpp"
 
 namespace scod {
 
@@ -25,6 +28,18 @@ std::optional<Variant> parse_variant(std::string_view name) {
   if (name == "legacy") return Variant::kLegacy;
   if (name == "sieve") return Variant::kSieve;
   return std::nullopt;
+}
+
+ScreeningReport Screener::screen(std::span<const Satellite> satellites,
+                                 const ScreeningConfig& config) const {
+  Stopwatch alloc_watch;
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(satellites, solver);
+  const double setup = alloc_watch.seconds();
+
+  ScreeningReport report = screen(propagator, config);
+  report.timings.allocation += setup;
+  return report;
 }
 
 std::unique_ptr<Screener> make_screener(Variant variant,

@@ -41,10 +41,11 @@ class Screener {
 
   virtual Variant variant() const = 0;
 
-  /// Screens a satellite population: builds the variant's internal
-  /// propagator (timed as allocation) and screens it.
-  virtual ScreeningReport screen(std::span<const Satellite> satellites,
-                                 const ScreeningConfig& config) const = 0;
+  /// Screens a satellite population: builds the Contour-solver two-body
+  /// propagator (timed as allocation) and screens it. Derived classes
+  /// bring it into scope with `using Screener::screen;`.
+  ScreeningReport screen(std::span<const Satellite> satellites,
+                         const ScreeningConfig& config) const;
 
   /// Screens with a caller-supplied propagator (e.g. the J2 secular
   /// propagator); the propagator must be thread-safe.

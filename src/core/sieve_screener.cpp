@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/context.hpp"
@@ -12,8 +12,6 @@
 #include "orbit/geometry.hpp"
 #include "pca/pair_evaluator.hpp"
 #include "pca/refine.hpp"
-#include "propagation/contour_solver.hpp"
-#include "propagation/two_body.hpp"
 #include "util/stopwatch.hpp"
 
 namespace scod {
@@ -22,18 +20,6 @@ SieveScreener::SieveScreener() : options_(Options{}) {}
 
 SieveScreener::SieveScreener(Options options, ScreeningContext* context)
     : options_(options), context_(context) {}
-
-ScreeningReport SieveScreener::screen(std::span<const Satellite> satellites,
-                                      const ScreeningConfig& config) const {
-  Stopwatch alloc_watch;
-  const ContourKeplerSolver solver;
-  const TwoBodyPropagator propagator(satellites, solver);
-  const double setup = alloc_watch.seconds();
-
-  ScreeningReport report = screen(propagator, config);
-  report.timings.allocation += setup;
-  return report;
-}
 
 ScreeningReport SieveScreener::screen(const Propagator& propagator,
                                       const ScreeningConfig& caller_config) const {
@@ -44,6 +30,9 @@ ScreeningReport SieveScreener::screen(const Propagator& propagator,
   ScreeningReport report;
   const std::size_t n = propagator.size();
   if (n < 2) return report;
+  if (!(config.t_begin < config.t_end)) {
+    throw std::invalid_argument("SieveScreener: empty time span");
+  }
 
   Stopwatch alloc_watch;
   std::vector<double>& vmax = lease->arena().vmax(n);
@@ -84,45 +73,38 @@ ScreeningReport SieveScreener::screen(const Propagator& propagator,
             continue;
           }
 
-          const std::optional<PairStateEvaluator> eval =
-              fast.available() ? std::optional<PairStateEvaluator>(fast.pair(a, b))
-                               : std::nullopt;
-          const auto pair_distance = [&](double t) {
-            return eval.has_value() ? eval->distance(t)
-                                    : propagator.distance(a, b, t);
-          };
-
           const double closing_speed = vmax[a] + vmax[b];
           std::vector<Encounter> encounters;
-
-          double t = config.t_begin;
-          while (t <= config.t_end) {
-            const double d = pair_distance(t);
-            ++local_evals;
-            if (d > coarse) {
-              // Sieve step: the distance cannot shrink to the threshold
-              // before the gap is closed at the maximum closing speed.
-              t += std::max((d - config.threshold_km) / closing_speed,
-                            options_.min_skip);
-              continue;
+          fast.visit_pair(a, b, [&](const auto& eval) {
+            const auto pair_distance = [&eval](double t) { return eval.distance(t); };
+            double t = config.t_begin;
+            while (t <= config.t_end) {
+              const double d = pair_distance(t);
+              ++local_evals;
+              if (d > coarse) {
+                // Sieve step: the distance cannot shrink to the threshold
+                // before the gap is closed at the maximum closing speed.
+                t += std::max((d - config.threshold_km) / closing_speed,
+                              options_.min_skip);
+                continue;
+              }
+              // Proximity window: bracket the local minimum around t. The
+              // window cannot be wider than the time to traverse the coarse
+              // sphere at the lowest realistic speed. Clamp to the span so a
+              // minimum sitting exactly on t_begin/t_end is reported instead
+              // of being discarded toward a neighbouring interval that does
+              // not exist.
+              const double half = std::max(2.0 * coarse / closing_speed, 2.0);
+              const auto enc =
+                  refine_candidate_fn(pair_distance, t, half, config.t_begin,
+                                      config.t_end, config.refine);
+              ++local_refines;
+              if (enc.has_value() && enc->pca <= config.threshold_km) {
+                encounters.push_back(*enc);
+              }
+              t += half + options_.min_skip;  // move past this window
             }
-            // Proximity window: bracket the local minimum around t. The
-            // window cannot be wider than the time to traverse the coarse
-            // sphere at the lowest realistic speed. Clamp to the span so a
-            // minimum sitting exactly on t_begin/t_end is reported instead
-            // of being discarded toward a neighbouring interval that does
-            // not exist.
-            const double half = std::max(2.0 * coarse / closing_speed, 2.0);
-            const auto enc =
-                refine_candidate_fn(pair_distance, t, half, config.t_begin,
-                                    config.t_end, config.refine);
-            ++local_refines;
-            if (enc.has_value() && enc->pca <= config.threshold_km) {
-              encounters.push_back(*enc);
-            }
-            t += half + options_.min_skip;  // move past this window
-          }
-
+          });
           for (const Encounter& e :
                merge_encounters(std::move(encounters),
                                 config.effective_merge_tolerance())) {

@@ -46,17 +46,45 @@ class PairStateEvaluator {
   const ContourKeplerSolver* solver_;
 };
 
+/// The virtual-path objective behind the same interface as
+/// PairStateEvaluator: every evaluation goes through Propagator::distance /
+/// Propagator::state. Refinement uses it for the propagators that have no
+/// devirtualized evaluator (J2, ephemeris, TLE, or a wrapped TwoBody).
+class PropagatorPairEvaluator {
+ public:
+  PropagatorPairEvaluator(const Propagator& propagator, std::uint32_t sat_a,
+                          std::uint32_t sat_b)
+      : propagator_(&propagator), sat_a_(sat_a), sat_b_(sat_b) {}
+
+  double distance(double time) const {
+    return propagator_->distance(sat_a_, sat_b_, time);
+  }
+  double speed_a(double time) const {
+    return propagator_->state(sat_a_, time).velocity.norm();
+  }
+  double speed_b(double time) const {
+    return propagator_->state(sat_b_, time).velocity.norm();
+  }
+
+ private:
+  const Propagator* propagator_;
+  std::uint32_t sat_a_;
+  std::uint32_t sat_b_;
+};
+
 /// Resolves the concrete (TwoBodyPropagator, ContourKeplerSolver) pair
 /// behind an abstract Propagator — once per refinement phase, so the
 /// per-candidate hot loop never touches RTTI. When the screener runs a
-/// different propagator or solver, `available()` is false and callers keep
-/// the virtual path.
+/// different propagator or solver, `available()` is false.
 struct RefineFastPath {
   const TwoBodyPropagator* propagator = nullptr;
   const ContourKeplerSolver* solver = nullptr;
+  /// The probed propagator, for the virtual path.
+  const Propagator* source = nullptr;
 
   static RefineFastPath probe(const Propagator& p) {
     RefineFastPath fast;
+    fast.source = &p;
     fast.propagator = dynamic_cast<const TwoBodyPropagator*>(&p);
     if (fast.propagator != nullptr) {
       fast.solver = dynamic_cast<const ContourKeplerSolver*>(&fast.propagator->solver());
@@ -69,6 +97,17 @@ struct RefineFastPath {
 
   PairStateEvaluator pair(std::uint32_t sat_a, std::uint32_t sat_b) const {
     return {*propagator, *solver, sat_a, sat_b};
+  }
+
+  /// The one place the refinement objective is chosen: calls `body(eval)`
+  /// with the devirtualized PairStateEvaluator of (sat_a, sat_b) when
+  /// available(), else with a PropagatorPairEvaluator over the probed
+  /// propagator. `body` is generic over the evaluator, so each search is
+  /// written once for both paths.
+  template <typename Body>
+  auto visit_pair(std::uint32_t sat_a, std::uint32_t sat_b, Body&& body) const {
+    if (available()) return body(pair(sat_a, sat_b));
+    return body(PropagatorPairEvaluator(*source, sat_a, sat_b));
   }
 };
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "obs/telemetry.hpp"
 #include "pca/brent.hpp"
-#include "propagation/propagator.hpp"
 
 namespace scod {
 
@@ -34,60 +34,20 @@ struct RefineOptions {
 /// takes the slower of both satellites to cross two cells" (Section IV-C).
 double grid_search_radius(double cell_size, double slower_speed_km_s);
 
-/// Functor-based core of refine_on_interval: `distance(t)` is the pairwise
-/// distance objective. Exposed as a template so the screeners can pass a
-/// devirtualized PairStateEvaluator closure instead of paying two virtual
-/// dispatches per Brent evaluation; the Propagator overloads below wrap it.
+namespace detail {
+
+/// The one Brent search of step 4 (Section IV-C) on [t_lo, t_hi], with the
+/// paper's boundary-discard rule: when the minimum stops at an interval
+/// edge, probe slightly beyond it. If the distance keeps falling, the local
+/// minimum lies outside this interval — discard; the neighbouring
+/// interval's search will find it. Otherwise the edge really is the
+/// (clamped) minimum. Past `span_lo`/`span_hi` there is no neighbouring
+/// interval, so an edge sitting on them is never discarded and the probe
+/// never crosses them. `radius` scales the probe distance.
 template <typename DistanceFn>
-std::optional<Encounter> refine_on_interval_fn(DistanceFn&& distance, double t_lo,
-                                               double t_hi,
-                                               const RefineOptions& options = {}) {
-  if (!(t_lo < t_hi)) return std::nullopt;
-
-  const MinimizeResult min =
-      brent_minimize(distance, t_lo, t_hi, options.time_tolerance, options.max_iterations);
-  obs::count(obs::Counter::kRefinements);
-  obs::count(obs::Counter::kBrentIterations,
-             static_cast<std::uint64_t>(min.iterations));
-
-  // Boundary handling (Section IV-C): when the search stops at an interval
-  // edge, probe slightly beyond it. If the distance keeps falling, the
-  // local minimum lies outside this interval — discard; the neighbouring
-  // interval's search will find it. Otherwise the edge really is the
-  // (clamped) minimum.
-  const double radius = 0.5 * (t_hi - t_lo);
-  const double probe = std::max(options.edge_probe_fraction * radius,
-                                4.0 * options.time_tolerance);
-  const double edge_tol = 2.0 * options.time_tolerance;
-
-  if (min.x - t_lo <= edge_tol) {
-    if (distance(t_lo - probe) < min.value) {
-      obs::count(obs::Counter::kEdgeDiscards);
-      return std::nullopt;
-    }
-  } else if (t_hi - min.x <= edge_tol) {
-    if (distance(t_hi + probe) < min.value) {
-      obs::count(obs::Counter::kEdgeDiscards);
-      return std::nullopt;
-    }
-  }
-
-  return Encounter{min.x, min.value};
-}
-
-/// Functor-based core of refine_candidate (grid-style search interval
-/// [center - radius, center + radius] clamped to the simulation span).
-template <typename DistanceFn>
-std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double center,
-                                             double radius, double t_min, double t_max,
-                                             const RefineOptions& options = {}) {
-  const double t_lo = std::max(center - radius, t_min);
-  const double t_hi = std::min(center + radius, t_max);
-  if (!(t_lo < t_hi)) return std::nullopt;
-  if (center - radius < t_min || center + radius > t_max) {
-    obs::count(obs::Counter::kWindowClamps);
-  }
-
+std::optional<Encounter> refine_within(DistanceFn&& distance, double t_lo, double t_hi,
+                                       double radius, double span_lo, double span_hi,
+                                       const RefineOptions& options) {
   const MinimizeResult min =
       brent_minimize(distance, t_lo, t_hi, options.time_tolerance, options.max_iterations);
   obs::count(obs::Counter::kRefinements);
@@ -98,15 +58,13 @@ std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double cente
       std::max(options.edge_probe_fraction * radius, 4.0 * options.time_tolerance);
   const double edge_tol = 2.0 * options.time_tolerance;
 
-  // At the simulation-span boundary the minimum cannot be discarded — there
-  // is no neighbouring interval beyond the span; report the clamped value.
-  if (min.x - t_lo <= edge_tol && t_lo > t_min) {
-    if (distance(std::max(t_lo - probe, t_min)) < min.value) {
+  if (min.x - t_lo <= edge_tol && t_lo > span_lo) {
+    if (distance(std::max(t_lo - probe, span_lo)) < min.value) {
       obs::count(obs::Counter::kEdgeDiscards);
       return std::nullopt;
     }
-  } else if (t_hi - min.x <= edge_tol && t_hi < t_max) {
-    if (distance(std::min(t_hi + probe, t_max)) < min.value) {
+  } else if (t_hi - min.x <= edge_tol && t_hi < span_hi) {
+    if (distance(std::min(t_hi + probe, span_hi)) < min.value) {
       obs::count(obs::Counter::kEdgeDiscards);
       return std::nullopt;
     }
@@ -115,26 +73,41 @@ std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double cente
   return Encounter{min.x, min.value};
 }
 
-/// Minimizes the pairwise distance of (sat_a, sat_b) on
+}  // namespace detail
+
+/// Minimizes the pairwise distance `distance(t)` on the grid-style interval
 /// [center - radius, center + radius], clamped to [t_min, t_max].
 ///
 /// Returns the encounter, or std::nullopt when the minimum lies on the
 /// interval boundary and the distance keeps decreasing just beyond it — in
 /// that case the true local minimum belongs to a neighbouring interval and
-/// will be found from there (the paper's discard rule).
-std::optional<Encounter> refine_candidate(const Propagator& propagator,
-                                          std::uint32_t sat_a, std::uint32_t sat_b,
-                                          double center, double radius,
-                                          double t_min, double t_max,
-                                          const RefineOptions& options = {});
+/// will be found from there. At the span edges t_min/t_max the clamped
+/// minimum is reported instead.
+template <typename DistanceFn>
+std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double center,
+                                             double radius, double t_min, double t_max,
+                                             const RefineOptions& options = {}) {
+  const double t_lo = std::max(center - radius, t_min);
+  const double t_hi = std::min(center + radius, t_max);
+  if (!(t_lo < t_hi)) return std::nullopt;
+  if (center - radius < t_min || center + radius > t_max) {
+    obs::count(obs::Counter::kWindowClamps);
+  }
+  return detail::refine_within(distance, t_lo, t_hi, radius, t_min, t_max, options);
+}
 
-/// Minimizes the pairwise distance on an explicit interval [t_lo, t_hi]
-/// (used by the hybrid variant, whose orbital filters construct the
-/// interval). The boundary-discard rule is applied the same way.
-std::optional<Encounter> refine_on_interval(const Propagator& propagator,
-                                            std::uint32_t sat_a, std::uint32_t sat_b,
-                                            double t_lo, double t_hi,
-                                            const RefineOptions& options = {});
+/// Minimizes the pairwise distance `distance(t)` on an explicit interval
+/// [t_lo, t_hi] (the filter windows of the hybrid and legacy variants).
+/// The boundary-discard rule applies at both edges.
+template <typename DistanceFn>
+std::optional<Encounter> refine_on_interval_fn(DistanceFn&& distance, double t_lo,
+                                               double t_hi,
+                                               const RefineOptions& options = {}) {
+  if (!(t_lo < t_hi)) return std::nullopt;
+  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+  return detail::refine_within(distance, t_lo, t_hi, 0.5 * (t_hi - t_lo), -kUnbounded,
+                               kUnbounded, options);
+}
 
 /// Collapses encounters of one pair that describe the same physical local
 /// minimum: candidates generated at adjacent sample steps refine to nearly

@@ -205,11 +205,11 @@ TEST(Cli, ScreenRejectsNegativeSps) {
 }
 
 TEST(Cli, LibraryRejectedSpanIsAUsageError) {
-  // The grid pipeline throws std::invalid_argument for an empty or reversed
+  // Every screener throws std::invalid_argument for an empty or reversed
   // span; scod reports that as a usage error (2), not a runtime failure (1).
   const std::string catalog = temp_path("cli_catalog_span.csv");
   ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
-  for (const char* variant : {"grid", "hybrid"}) {
+  for (const char* variant : {"grid", "hybrid", "legacy", "sieve"}) {
     for (const char* span : {"0", "-5"}) {
       const CliRun run = run_cli("screen --catalog " + catalog + " --variant " +
                                  variant + " --span " + span);

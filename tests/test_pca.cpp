@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "pca/brent.hpp"
@@ -89,82 +93,100 @@ class RefineFixture : public testing::Test {
     sats_.push_back({0, {7000.0, 0.0001, 0.0, 0.0, 0.0, 0.0}});
     sats_.push_back({1, {7000.0, 0.0001, kPi / 2.0, 0.0, 0.0, 0.01}});
     prop_ = std::make_unique<TwoBodyPropagator>(sats_, solver_);
+    // Locate the true minimum with a fine scan.
+    for (double t = 1000.0; t < 4000.0; t += 0.5) {
+      const double d = distance(t);
+      if (d < best_d_) {
+        best_d_ = d;
+        best_t_ = t;
+      }
+    }
+  }
+
+  double distance(double t) const { return prop_->distance(0, 1, t); }
+  auto distance_fn() const {
+    return [this](double t) { return distance(t); };
   }
 
   NewtonKeplerSolver solver_;
   std::vector<Satellite> sats_;
   std::unique_ptr<TwoBodyPropagator> prop_;
+  double best_t_ = 0.0;
+  double best_d_ = 1e300;
 };
 
 TEST_F(RefineFixture, FindsInteriorMinimum) {
-  // Locate the true minimum with a fine scan, then check refine_candidate
-  // finds it from a nearby sample point.
-  double best_t = 0.0, best_d = 1e300;
-  for (double t = 1000.0; t < 4000.0; t += 0.5) {
-    const double d = prop_->distance(0, 1, t);
-    if (d < best_d) {
-      best_d = d;
-      best_t = t;
-    }
-  }
-  const auto enc = refine_candidate(*prop_, 0, 1, best_t + 3.0, 30.0, 0.0, 5000.0);
+  // refine_candidate_fn finds the minimum from a nearby sample point.
+  const auto enc = refine_candidate_fn(distance_fn(), best_t_ + 3.0, 30.0, 0.0, 5000.0);
   ASSERT_TRUE(enc.has_value());
-  EXPECT_NEAR(enc->tca, best_t, 1.0);
-  EXPECT_LE(enc->pca, best_d + 1e-6);
-}
-
-TEST_F(RefineFixture, DiscardsBoundaryMinimumOwnedByNeighbourInterval) {
-  // Place the interval so the distance still falls at its right edge; the
-  // candidate must be discarded (the neighbouring interval owns the
-  // minimum).
-  double best_t = 0.0, best_d = 1e300;
-  for (double t = 1000.0; t < 4000.0; t += 0.5) {
-    const double d = prop_->distance(0, 1, t);
-    if (d < best_d) {
-      best_d = d;
-      best_t = t;
-    }
-  }
-  const double center = best_t - 100.0;  // minimum lies 100 s right of center
-  const auto enc = refine_candidate(*prop_, 0, 1, center, 50.0, 0.0, 5000.0);
-  EXPECT_FALSE(enc.has_value());
+  EXPECT_NEAR(enc->tca, best_t_, 1.0);
+  EXPECT_LE(enc->pca, best_d_ + 1e-6);
 }
 
 TEST_F(RefineFixture, SpanBoundaryMinimumIsClamped) {
   // If the span itself ends before the approach completes, the clamped
   // edge minimum must be reported, not discarded (there is no neighbouring
   // interval beyond the span).
-  double best_t = 0.0, best_d = 1e300;
-  for (double t = 1000.0; t < 4000.0; t += 0.5) {
-    const double d = prop_->distance(0, 1, t);
-    if (d < best_d) {
-      best_d = d;
-      best_t = t;
-    }
-  }
-  const double span_end = best_t - 20.0;  // span ends while still approaching
-  const auto enc = refine_candidate(*prop_, 0, 1, span_end - 5.0, 10.0, 0.0, span_end);
+  const double span_end = best_t_ - 20.0;  // span ends while still approaching
+  const auto enc =
+      refine_candidate_fn(distance_fn(), span_end - 5.0, 10.0, 0.0, span_end);
   ASSERT_TRUE(enc.has_value());
   EXPECT_NEAR(enc->tca, span_end, 1.0);
 }
 
-TEST_F(RefineFixture, RefineOnIntervalAgrees) {
-  double best_t = 0.0, best_d = 1e300;
-  for (double t = 1000.0; t < 4000.0; t += 0.5) {
-    const double d = prop_->distance(0, 1, t);
-    if (d < best_d) {
-      best_d = d;
-      best_t = t;
-    }
-  }
-  const auto enc = refine_on_interval(*prop_, 0, 1, best_t - 40.0, best_t + 40.0);
+TEST_F(RefineFixture, SpanBeginMinimumIsClamped) {
+  // The same at the other end: the span begins after the approach, so the
+  // distance already grows from t_min on.
+  const double span_begin = best_t_ + 20.0;
+  const auto enc =
+      refine_candidate_fn(distance_fn(), span_begin + 5.0, 10.0, span_begin, 5000.0);
   ASSERT_TRUE(enc.has_value());
-  EXPECT_NEAR(enc->tca, best_t, 1.0);
+  EXPECT_NEAR(enc->tca, span_begin, 1.0);
+}
+
+TEST_F(RefineFixture, RefineOnIntervalAgrees) {
+  const auto enc = refine_on_interval_fn(distance_fn(), best_t_ - 40.0, best_t_ + 40.0);
+  ASSERT_TRUE(enc.has_value());
+  EXPECT_NEAR(enc->tca, best_t_, 1.0);
 
   // Degenerate interval.
-  EXPECT_FALSE(refine_on_interval(*prop_, 0, 1, 10.0, 10.0).has_value());
-  EXPECT_FALSE(refine_on_interval(*prop_, 0, 1, 10.0, 5.0).has_value());
+  EXPECT_FALSE(refine_on_interval_fn(distance_fn(), 10.0, 10.0).has_value());
+  EXPECT_FALSE(refine_on_interval_fn(distance_fn(), 10.0, 5.0).has_value());
 }
+
+enum class Entry { kCandidate, kInterval };
+enum class Edge { kLeft, kRight };
+
+/// The boundary-discard rule of Section IV-C through both entry points, at
+/// both interval edges: when the distance still falls beyond the edge the
+/// search stopped at, the neighbouring interval owns the minimum and the
+/// search reports nothing.
+class RefineEdgeDiscard : public RefineFixture,
+                          public testing::WithParamInterface<std::tuple<Entry, Edge>> {};
+
+TEST_P(RefineEdgeDiscard, DiscardsMinimumOwnedByNeighbourInterval) {
+  const auto [entry, edge] = GetParam();
+  // A 100 s interval whose centre lies 100 s from the minimum, on the side
+  // that puts the minimum beyond `edge`.
+  const double center = edge == Edge::kLeft ? best_t_ + 100.0 : best_t_ - 100.0;
+  const std::optional<Encounter> enc =
+      entry == Entry::kCandidate
+          ? refine_candidate_fn(distance_fn(), center, 50.0, 0.0, 5000.0)
+          : refine_on_interval_fn(distance_fn(), center - 50.0, center + 50.0);
+  EXPECT_FALSE(enc.has_value());
+}
+
+std::string entry_edge_name(const testing::TestParamInfo<std::tuple<Entry, Edge>>& info) {
+  const auto [entry, edge] = info.param;
+  return std::string(entry == Entry::kCandidate ? "Candidate" : "Interval") +
+         (edge == Edge::kLeft ? "Left" : "Right");
+}
+
+INSTANTIATE_TEST_SUITE_P(EntriesAndEdges, RefineEdgeDiscard,
+                         testing::Combine(testing::Values(Entry::kCandidate,
+                                                          Entry::kInterval),
+                                          testing::Values(Edge::kLeft, Edge::kRight)),
+                         entry_edge_name);
 
 TEST(MergeEncounters, CollapsesNearbyMinima) {
   std::vector<Encounter> raw{{100.0, 5.0}, {100.3, 4.0}, {500.0, 7.0}, {99.8, 6.0}};

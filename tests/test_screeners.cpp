@@ -527,10 +527,9 @@ TEST(Screeners, BatchedInsertionKernelMatchesScalarExactly) {
             scalar_report.stats.seconds_per_sample);
 }
 
-/// The hybrid and sieve screeners refine through a devirtualized pair
-/// evaluator when the propagator is a TwoBodyPropagator, and through the
-/// virtual Propagator calls otherwise. Both must give the same report to
-/// the last bit.
+/// Every screener refines through a devirtualized pair evaluator when the
+/// propagator is a TwoBodyPropagator, and through the virtual Propagator
+/// calls otherwise. Both must give the same report to the last bit.
 class RefinementPathEquivalence : public testing::TestWithParam<Variant> {};
 
 TEST_P(RefinementPathEquivalence, ForwardedPropagatorGivesBitIdenticalReport) {
@@ -562,7 +561,8 @@ TEST_P(RefinementPathEquivalence, ForwardedPropagatorGivesBitIdenticalReport) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, RefinementPathEquivalence,
-                         testing::Values(Variant::kHybrid, Variant::kSieve),
+                         testing::Values(Variant::kGrid, Variant::kHybrid,
+                                         Variant::kLegacy, Variant::kSieve),
                          [](const testing::TestParamInfo<Variant>& param_info) {
                            return variant_name(param_info.param);
                          });
